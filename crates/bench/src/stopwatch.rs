@@ -1,7 +1,6 @@
 //! A dependency-free micro-benchmark harness.
 //!
-//! The workspace is `std`-only (the container has no registry access), so
-//! the `benches/` targets and the `bench` binary time themselves with
+//! The workspace is `std`-only, so the `bench` binary times itself with
 //! [`std::time::Instant`] instead of Criterion: warm up, run until a time
 //! budget or iteration cap is hit, and report the **median** with the
 //! min/max spread — the median is robust to the scheduling outliers shared
@@ -31,8 +30,6 @@ pub struct Measurement {
     pub max: Duration,
     /// Number of timed iterations.
     pub n: usize,
-    /// Total wall time spent sampling (including warmup).
-    pub total: Duration,
 }
 
 /// Sampling limits for [`measure_with`].
@@ -91,7 +88,6 @@ pub fn median(samples: &[Duration]) -> Duration {
 /// Times `f` under `limits`: 3 warmup calls, then sample until the budget
 /// or iteration caps are hit.
 pub fn measure_with<T>(limits: SampleBudget, mut f: impl FnMut() -> T) -> Measurement {
-    let start = Instant::now();
     for _ in 0..3 {
         std::hint::black_box(f());
     }
@@ -109,22 +105,7 @@ pub fn measure_with<T>(limits: SampleBudget, mut f: impl FnMut() -> T) -> Measur
         min: times.iter().copied().min().unwrap_or(Duration::ZERO),
         max: times.iter().copied().max().unwrap_or(Duration::ZERO),
         n: times.len(),
-        total: start.elapsed(),
     }
-}
-
-/// Times `f` with the default budget.
-pub fn measure<T>(f: impl FnMut() -> T) -> Measurement {
-    measure_with(SampleBudget::default(), f)
-}
-
-/// Times `f` and prints `group/name: median … (min …, max …, n=…)`.
-pub fn bench<T>(group: &str, name: &str, f: impl FnMut() -> T) {
-    let m = measure(f);
-    println!(
-        "{group}/{name}: median {:?} (min {:?}, max {:?}, n={}, total {:?})",
-        m.median, m.min, m.max, m.n, m.total
-    );
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //!   `figures`-equivalent load: real Table II apps through the real
 //!   executor).
 //! * **queue** — raw event-engine schedule+drain throughput of dense
-//!   periodic ticks at 1k/100k/1M pending events, the timer wheel vs the
-//!   reference binary heap (see `iotse_sim::queue`), with the fired-event
-//!   count gated exactly.
+//!   periodic ticks at 1k/100k/1M pending events on the timer wheel (see
+//!   `iotse_sim::queue`), with the fired-event count gated exactly.
 //! * **kernel** — per-kernel runtime of all eleven Table 2 workloads,
 //!   computing over a real sensor window sampled from [`PhysicalWorld`].
 //! * **fleet** — scaling of the scenario fleet at 1/2/4/8 worker threads.
@@ -29,7 +28,10 @@
 //! * **scenarios** — the committed `scenarios/` corpus swept on a jobs-1
 //!   fleet, with exact-gated grading counters (`scenarios_run`,
 //!   `expectations_evaluated`, `expectations_failed` — the last pinned at
-//!   0: a failing committed scenario is a regression by definition).
+//!   0: a failing committed scenario is a regression by definition). The
+//!   files are read when the case is built, so no path string is
+//!   allocated while allocations are counted and the gate holds from any
+//!   checkout path.
 //!
 //! Every case reports wall time (advisory) plus the deterministic cost
 //! counters of [`crate::report`]. Heap counting needs the `bench` binary's
@@ -38,13 +40,15 @@
 //! stays fully testable without it.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use iotse_apps::catalog;
 use iotse_core::runner::Fleet;
+use iotse_core::scenario_spec::{run_spec, ScenarioSpec};
 use iotse_core::workload::{WindowData, Workload};
 use iotse_core::{AppId, RunResult, Scenario, Scheme};
 use iotse_sensors::world::{PhysicalWorld, WorldConfig};
-use iotse_sim::engine::{Engine, RunOutcome};
+use iotse_sim::engine::Engine;
 use iotse_sim::rng::SeedTree;
 use iotse_sim::time::{SimDuration, SimTime};
 
@@ -237,44 +241,37 @@ pub fn cases() -> Vec<Case> {
 
     // (b) Raw event-engine throughput: schedule + drain n periodic ticks
     // (QUEUE_DEVICES per instant, 1 ms apart — the paper's dominant
-    // traffic shape), timer wheel vs reference heap. The engine drains to
-    // empty, so `events` is exactly n and the baseline gates it bitwise.
+    // traffic shape). The engine drains to empty, so `events` is exactly n
+    // and the baseline gates it bitwise.
     fn queue_tick(fired: &mut u64, _: &mut Engine<u64>, _: u64, _: u64) {
         *fired += 1;
     }
     for (n, label) in QUEUE_RUNGS {
-        for (backend, reference) in [("wheel", false), ("heap", true)] {
-            out.push(Case {
-                section: "queue",
-                workload: label.into(),
-                scheme: backend.into(),
-                count_allocs: true,
-                run: Box::new(move || {
-                    let mut engine: Engine<u64> = if reference {
-                        Engine::reference_with_capacity(n)
-                    } else {
-                        Engine::with_capacity(n)
-                    };
-                    engine.schedule_call_batch(
-                        "bench_tick",
-                        queue_tick,
-                        (0..n).map(|i| {
-                            let t = SimTime::ZERO
-                                + SimDuration::from_micros(1_000) * ((i / QUEUE_DEVICES) as u64);
-                            (t, i as u64, 0)
-                        }),
-                    );
-                    let mut fired = 0u64;
-                    let outcome = engine.run(&mut fired);
-                    assert!(matches!(outcome, RunOutcome::Drained));
-                    assert_eq!(fired, n as u64, "queue case lost events");
-                    CaseOutput {
-                        events: engine.events_executed(),
-                        ..CaseOutput::NONE
-                    }
-                }),
-            });
-        }
+        out.push(Case {
+            section: "queue",
+            workload: label.into(),
+            scheme: "wheel".into(),
+            count_allocs: true,
+            run: Box::new(move || {
+                let mut engine: Engine<u64> = Engine::with_capacity(n);
+                engine.schedule_call_batch(
+                    "bench_tick",
+                    queue_tick,
+                    (0..n).map(|i| {
+                        let t = SimTime::ZERO
+                            + SimDuration::from_micros(1_000) * ((i / QUEUE_DEVICES) as u64);
+                        (t, i as u64, 0)
+                    }),
+                );
+                let mut fired = 0u64;
+                engine.run(&mut fired);
+                assert_eq!(fired, n as u64, "queue case lost events");
+                CaseOutput {
+                    events: engine.events_executed(),
+                    ..CaseOutput::NONE
+                }
+            }),
+        });
     }
 
     // (c) Per-kernel runtimes for all eleven Table 2 workloads.
@@ -419,14 +416,49 @@ pub fn cases() -> Vec<Case> {
     // model, so the baseline gates them exactly — a scenario that starts
     // failing its own expectations moves expectations_failed off 0 and
     // trips the gate even before the CI `scenarios` job runs.
-    out.push(Case {
+    out.push(corpus_case(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"),
+    ));
+
+    out
+}
+
+/// The `scenarios/corpus/check` case over the `*.toml` files in `dir`.
+///
+/// The files are listed and read here, once, so the case's run — the part
+/// whose allocations the gate counts — parses and runs in-memory text and
+/// never touches a path: its counters are the same from every checkout
+/// directory.
+///
+/// # Panics
+///
+/// Panics if `dir` holds no readable `*.toml` files.
+#[must_use]
+pub fn corpus_case(dir: &Path) -> Case {
+    let sources: Vec<String> = crate::scenario::corpus_files(dir)
+        .and_then(|files| {
+            files
+                .iter()
+                .map(|p| {
+                    std::fs::read_to_string(p)
+                        .map_err(|e| format!("{}: cannot read: {e}", p.display()))
+                })
+                .collect()
+        })
+        .expect("scenario corpus readable");
+    Case {
         section: "scenarios",
         workload: "corpus".into(),
         scheme: "check".into(),
         count_allocs: true,
         run: Box::new(move || {
-            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-            let reports = crate::scenario::check_dir(&dir, 1).expect("scenario corpus sweep");
+            let reports: Vec<_> = sources
+                .iter()
+                .map(|text| {
+                    let spec = ScenarioSpec::parse(text).expect("committed scenario parses");
+                    run_spec(&spec, &catalog::app, 1)
+                })
+                .collect();
             let c = crate::scenario::counters(&reports);
             CaseOutput {
                 scenarios_run: c.scenarios_run,
@@ -435,9 +467,7 @@ pub fn cases() -> Vec<Case> {
                 ..CaseOutput::NONE
             }
         }),
-    });
-
-    out
+    }
 }
 
 /// Runs every case and assembles the report.
@@ -608,7 +638,7 @@ mod tests {
         );
         assert_eq!(
             cases.iter().filter(|c| c.section == "queue").count(),
-            QUEUE_RUNGS.len() * 2 // wheel + reference heap per rung
+            QUEUE_RUNGS.len()
         );
         assert_eq!(
             cases.iter().filter(|c| c.section == "kernel").count(),
@@ -646,17 +676,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_cases_fire_every_scheduled_event_on_both_backends() {
-        let mut queue_cases: Vec<_> = cases()
+    fn queue_case_fires_every_scheduled_event() {
+        let mut case = cases()
             .into_iter()
-            .filter(|c| c.section == "queue" && c.workload == "pending-1k")
-            .collect();
-        assert_eq!(queue_cases.len(), 2);
-        for case in &mut queue_cases {
-            let out = (case.run)();
-            assert_eq!(out.events, 1_000, "{}: wrong event count", case.scheme);
-            assert_eq!((case.run)(), out, "queue case must replay bitwise");
-        }
+            .find(|c| c.section == "queue" && c.workload == "pending-1k")
+            .expect("pending-1k queue case");
+        let out = (case.run)();
+        assert_eq!(out.events, 1_000, "wrong event count");
+        assert_eq!((case.run)(), out, "queue case must replay bitwise");
     }
 
     #[test]

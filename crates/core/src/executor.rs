@@ -61,7 +61,6 @@ pub struct Scenario {
     telemetry: Option<TelemetryConfig>,
     compute_cache: bool,
     faults: Vec<FaultScript>,
-    reference_engine: bool,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -94,7 +93,6 @@ impl Scenario {
             telemetry: None,
             compute_cache: true,
             faults: Vec::new(),
-            reference_engine: false,
         }
     }
 
@@ -207,17 +205,6 @@ impl Scenario {
         self
     }
 
-    /// Runs the scenario on the reference binary-heap event queue instead
-    /// of the timer wheel (see [`iotse_sim::queue::EventQueue::reference`]).
-    /// Results are bitwise identical either way — the equivalence suite
-    /// pins exactly that — so this exists for the wheel-vs-heap oracle
-    /// tests and A/B benchmarks.
-    #[must_use]
-    pub fn with_reference_engine(mut self) -> Self {
-        self.reference_engine = true;
-        self
-    }
-
     /// Runs the scenario to completion.
     ///
     /// # Panics
@@ -240,7 +227,6 @@ impl Scenario {
             telemetry,
             compute_cache,
             faults,
-            reference_engine,
         } = self;
         // An inconsistent calibration is a scenario-construction bug, part
         // of run()'s documented panic contract above.
@@ -389,11 +375,7 @@ impl Scenario {
             .iter()
             .map(|g| g.samples_per_window as usize * windows as usize)
             .sum();
-        let mut engine: Engine<Exec> = if reference_engine {
-            Engine::reference_with_capacity(total_ticks)
-        } else {
-            Engine::with_capacity(total_ticks)
-        };
+        let mut engine: Engine<Exec> = Engine::with_capacity(total_ticks);
         for (gi, g) in exec.groups.iter().enumerate() {
             let window_len = exec.apps[g.members[0]].window_len;
             let interval = window_len / u64::from(g.samples_per_window);
@@ -587,8 +569,8 @@ fn validate_rates(app: &dyn Workload) {
     }
 }
 
-/// The tick entry point, as a plain `fn` so the engine can store it
-/// without boxing (see `EventBody::Call`).
+/// The tick entry point, as a plain `fn` so the engine stores it inline
+/// (see `Engine::schedule_call`).
 // iotse-lint: hot-path
 fn tick_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, group_idx: u64, window: u64) {
     exec.on_tick(eng.now(), group_idx as usize, window as u32);

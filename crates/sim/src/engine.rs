@@ -1,10 +1,12 @@
 //! The discrete-event execution loop.
 //!
 //! [`Engine`] owns the simulated clock and the pending-event set; the caller
-//! owns the world state `S`. Events are `FnOnce(&mut S, &mut Engine<S>)`
-//! closures, so a handler can mutate the world *and* schedule follow-up
-//! events. Execution is strictly ordered by `(time, insertion order)` — see
-//! [`crate::queue::EventQueue`] — which makes every run deterministic.
+//! owns the world state `S`. An event is a plain function
+//! `fn(&mut S, &mut Engine<S>, u64, u64)` plus two integer payload words,
+//! so a handler can mutate the world *and* schedule follow-up events, and
+//! scheduling allocates nothing. Execution is strictly ordered by `(time,
+//! insertion order)` — see [`crate::queue::EventQueue`] — which makes every
+//! run deterministic.
 //!
 //! # Examples
 //!
@@ -17,13 +19,14 @@
 //! let mut engine = Engine::new();
 //!
 //! // A self-rescheduling periodic event.
-//! fn tick(hits: &mut u32, engine: &mut Engine<u32>) {
+//! fn tick(hits: &mut u32, engine: &mut Engine<u32>, _: u64, _: u64) {
 //!     *hits += 1;
 //!     if *hits < 5 {
-//!         engine.schedule_in(SimDuration::from_millis(10), tick);
+//!         let next = engine.now() + SimDuration::from_millis(10);
+//!         engine.schedule_call(next, "tick", tick, 0, 0);
 //!     }
 //! }
-//! engine.schedule_at(SimTime::ZERO, tick);
+//! engine.schedule_call(SimTime::ZERO, "tick", tick, 0, 0);
 //! engine.run(&mut hits);
 //!
 //! assert_eq!(hits, 5);
@@ -31,45 +34,24 @@
 //! ```
 
 use crate::queue::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
-/// A scheduled event handler.
-pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Engine<S>)>;
-
-/// A plain-function event handler carrying two integer arguments — the
-/// allocation-free fast path for dense periodic schedules (see
+/// An event handler: a plain function carrying two integer arguments, so
+/// events live inline in the queue with no per-event heap traffic (see
 /// [`Engine::schedule_call`]).
 pub type CallFn<S> = fn(&mut S, &mut Engine<S>, u64, u64);
 
-enum EventBody<S> {
-    /// A boxed closure: flexible, one heap allocation per event.
-    Boxed(EventFn<S>),
-    /// A plain `fn` plus two `u64` payload words: zero allocations. Dense
-    /// schedules (the executor's per-tick events) use this so scheduling a
-    /// million ticks costs no per-event heap traffic.
-    Call { f: CallFn<S>, a: u64, b: u64 },
-}
-
 struct Event<S> {
     label: &'static str,
-    body: EventBody<S>,
+    f: CallFn<S>,
+    a: u64,
+    b: u64,
 }
 
 impl<S> std::fmt::Debug for Event<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Event").field("label", &self.label).finish()
     }
-}
-
-/// Why [`Engine::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RunOutcome {
-    /// The pending-event set drained completely.
-    Drained,
-    /// The time horizon was reached with events still pending.
-    HorizonReached,
-    /// A handler called [`Engine::request_stop`].
-    Stopped,
 }
 
 /// The discrete-event engine: clock plus pending-event set.
@@ -80,54 +62,26 @@ pub struct Engine<S> {
     now: SimTime,
     queue: EventQueue<Event<S>>,
     executed: u64,
-    stop_requested: bool,
 }
 
 impl<S> Engine<S> {
     /// Creates an engine with the clock at [`SimTime::ZERO`].
     #[must_use]
     pub fn new() -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            executed: 0,
-            stop_requested: false,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an engine whose pending-event set has room for `events`
     /// without reallocating — callers that schedule a whole run up front
-    /// (the executor schedules every tick of every window) avoid the heap's
-    /// doubling regrowth.
+    /// (the executor schedules every tick of every window) avoid the
+    /// queue's doubling regrowth.
     #[must_use]
     pub fn with_capacity(events: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::with_capacity(events),
             executed: 0,
-            stop_requested: false,
         }
-    }
-
-    /// Creates an engine on the reference binary-heap queue backend
-    /// ([`EventQueue::reference_with_capacity`]). The run loop, clock, and
-    /// event contract are identical to [`Engine::with_capacity`]; only the
-    /// queue's complexity profile differs. The tier-1 equivalence suite
-    /// pins full-`RunResult` byte identity between the two.
-    #[must_use]
-    pub fn reference_with_capacity(events: usize) -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::reference_with_capacity(events),
-            executed: 0,
-            stop_requested: false,
-        }
-    }
-
-    /// `true` when this engine runs on the reference heap backend.
-    #[must_use]
-    pub fn is_reference(&self) -> bool {
-        self.queue.is_reference()
     }
 
     /// The current simulated instant.
@@ -142,69 +96,15 @@ impl<S> Engine<S> {
         self.executed
     }
 
-    /// Number of events currently pending.
-    #[must_use]
-    pub fn events_pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedules `event` at the absolute instant `time`.
+    /// Schedules `f(state, engine, a, b)` at the absolute instant `time`.
+    /// The `label` shows up in `Debug` output and in the panic message
+    /// below. Nothing is allocated: the handler and its arguments live
+    /// inline in the event queue.
     ///
     /// # Panics
     ///
     /// Panics if `time` is earlier than [`Engine::now`] — simulated time
     /// never runs backwards.
-    pub fn schedule_at(
-        &mut self,
-        time: SimTime,
-        event: impl FnOnce(&mut S, &mut Engine<S>) + 'static,
-    ) {
-        self.schedule_labeled(time, "event", event);
-    }
-
-    /// Schedules `event` after the relative delay `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        event: impl FnOnce(&mut S, &mut Engine<S>) + 'static,
-    ) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Schedules `event` at `time` with a static label that shows up in
-    /// `Debug` output; useful when diagnosing stuck scenarios.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than [`Engine::now`].
-    pub fn schedule_labeled(
-        &mut self,
-        time: SimTime,
-        label: &'static str,
-        event: impl FnOnce(&mut S, &mut Engine<S>) + 'static,
-    ) {
-        assert!(
-            time >= self.now,
-            "cannot schedule {label:?} at {time} which is before now ({})",
-            self.now
-        );
-        self.queue.push(
-            time,
-            Event {
-                label,
-                body: EventBody::Boxed(Box::new(event)),
-            },
-        );
-    }
-
-    /// Schedules a plain-function event carrying two integer payload words.
-    /// Unlike the closure-based `schedule_*` methods this allocates nothing:
-    /// the handler and its arguments live inline in the event queue. Hot
-    /// schedulers (the executor's tick fan-out) use this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than [`Engine::now`].
     // iotse-lint: hot-path
     pub fn schedule_call(
         &mut self,
@@ -219,22 +119,16 @@ impl<S> Engine<S> {
             "cannot schedule {label:?} at {time} which is before now ({})",
             self.now
         );
-        self.queue.push(
-            time,
-            Event {
-                label,
-                body: EventBody::Call { f, a, b },
-            },
-        );
+        self.queue.push(time, Event { label, f, a, b });
     }
 
-    /// Schedules a whole batch of plain-function events in one call,
-    /// reserving queue capacity up front (via
-    /// [`crate::queue::EventQueue::push_batch`]) so a dense warm-up schedule
-    /// — the executor schedules every tick of every window before the run
-    /// starts — never regrows the heap mid-loop. Firing order is identical
-    /// to calling [`Engine::schedule_call`] once per `(time, a, b)` tuple in
-    /// iteration order.
+    /// Schedules a whole batch of events in one call, reserving queue
+    /// capacity up front (via [`crate::queue::EventQueue::push_batch`]) so
+    /// a dense warm-up schedule — the executor schedules every tick of
+    /// every window before the run starts — never regrows the queue
+    /// mid-loop. Firing order is identical to calling
+    /// [`Engine::schedule_call`] once per `(time, a, b)` tuple in iteration
+    /// order.
     ///
     /// # Panics
     ///
@@ -252,48 +146,11 @@ impl<S> Engine<S> {
                 time >= now,
                 "cannot schedule {label:?} at {time} which is before now ({now})"
             );
-            (
-                time,
-                Event {
-                    label,
-                    body: EventBody::Call { f, a, b },
-                },
-            )
+            (time, Event { label, f, a, b })
         }));
     }
 
-    /// Asks the run loop to stop after the current handler returns. Pending
-    /// events are kept, so a later `run*` call resumes where it left off.
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
-    }
-
-    /// Executes the single earliest pending event, advancing the clock to its
-    /// due time. Returns `false` if nothing was pending.
-    pub fn step(&mut self, state: &mut S) -> bool {
-        let Some(scheduled) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(scheduled.time >= self.now);
-        self.now = scheduled.time;
-        self.executed += 1;
-        match scheduled.item.body {
-            EventBody::Boxed(run) => run(state, self),
-            EventBody::Call { f, a, b } => f(state, self, a, b),
-        }
-        true
-    }
-
-    /// Runs until the pending-event set drains or a handler requests a stop.
-    pub fn run(&mut self, state: &mut S) -> RunOutcome {
-        self.run_until(state, SimTime::MAX)
-    }
-
-    /// Runs until the pending-event set drains, a handler requests a stop, or
-    /// the next event would fire strictly after `horizon`. On
-    /// [`RunOutcome::HorizonReached`], the clock is advanced to exactly
-    /// `horizon` (so time-weighted accounting can close out the interval) and
-    /// later events remain pending.
+    /// Runs until the pending-event set drains.
     ///
     /// Same-tick entries are batch-drained: the loop peeks the frontier
     /// time once per tick and then pops with
@@ -301,33 +158,17 @@ impl<S> Engine<S> {
     /// one slot visit fires the whole tick instead of a peek/pop pair per
     /// event. Events a handler schedules *at the current tick* join the
     /// same drain (they get higher seqs, so they fire after everything
-    /// already pending at that tick), which is exactly the order the
-    /// pop-per-event loop produced.
+    /// already pending at that tick), which is exactly the order a
+    /// pop-per-event loop produces.
     // iotse-lint: hot-path
-    pub fn run_until(&mut self, state: &mut S, horizon: SimTime) -> RunOutcome {
-        self.stop_requested = false;
-        loop {
-            let t = match self.queue.peek_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t > horizon => {
-                    if horizon != SimTime::MAX {
-                        self.now = self.now.max(horizon);
-                    }
-                    return RunOutcome::HorizonReached;
-                }
-                Some(t) => t,
-            };
+    pub fn run(&mut self, state: &mut S) {
+        while let Some(t) = self.queue.peek_time() {
             debug_assert!(t >= self.now);
             self.now = t;
             while let Some(scheduled) = self.queue.pop_at(t) {
                 self.executed += 1;
-                match scheduled.item.body {
-                    EventBody::Boxed(run) => run(state, self),
-                    EventBody::Call { f, a, b } => f(state, self, a, b),
-                }
-                if self.stop_requested {
-                    return RunOutcome::Stopped;
-                }
+                let Event { f, a, b, .. } = scheduled.item;
+                f(state, self, a, b);
             }
         }
     }
@@ -342,127 +183,112 @@ impl<S> Default for Engine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
+
+    type Log = Vec<(u64, u64)>;
+
+    /// Logs `(now in ms, a)`.
+    fn log_at(log: &mut Log, e: &mut Engine<Log>, a: u64, _: u64) {
+        log.push((e.now().as_millis(), a));
+    }
+
+    fn noop(_: &mut (), _: &mut Engine<()>, _: u64, _: u64) {}
 
     #[test]
     fn events_fire_in_order_and_advance_clock() {
-        let mut log: Vec<(u64, &str)> = Vec::new();
+        let mut log = Log::new();
         let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_millis(2), |log: &mut Vec<(u64, &str)>, e| {
-            log.push((e.now().as_millis(), "b"));
-        });
-        engine.schedule_at(SimTime::from_millis(1), |log: &mut Vec<(u64, &str)>, e| {
-            log.push((e.now().as_millis(), "a"));
-        });
-        let outcome = engine.run(&mut log);
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(log, vec![(1, "a"), (2, "b")]);
+        engine.schedule_call(SimTime::from_millis(2), "b", log_at, 2, 0);
+        engine.schedule_call(SimTime::from_millis(1), "a", log_at, 1, 0);
+        engine.run(&mut log);
+        assert_eq!(log, vec![(1, 1), (2, 2)]);
         assert_eq!(engine.events_executed(), 2);
     }
 
     #[test]
     fn handlers_can_schedule_followups() {
+        fn add(total: &mut u64, _: &mut Engine<u64>, n: u64, _: u64) {
+            *total += n;
+        }
+        fn first(total: &mut u64, e: &mut Engine<u64>, _: u64, _: u64) {
+            *total += 1;
+            e.schedule_call(e.now() + SimDuration::from_millis(1), "add", add, 10, 0);
+        }
         let mut total = 0u64;
         let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_millis(1), |total: &mut u64, e| {
-            *total += 1;
-            e.schedule_in(SimDuration::from_millis(1), |total: &mut u64, _| {
-                *total += 10;
-            });
-        });
+        engine.schedule_call(SimTime::from_millis(1), "first", first, 0, 0);
         engine.run(&mut total);
         assert_eq!(total, 11);
         assert_eq!(engine.now(), SimTime::from_millis(2));
     }
 
     #[test]
-    fn run_until_leaves_later_events_pending() {
-        let mut fired = Vec::new();
-        let mut engine = Engine::new();
-        for ms in [1u64, 5, 10] {
-            engine.schedule_at(SimTime::from_millis(ms), move |fired: &mut Vec<u64>, _| {
-                fired.push(ms);
-            });
+    fn handlers_can_schedule_on_the_current_tick() {
+        // A follow-up at `now` joins the same-tick drain, after everything
+        // already pending at that tick.
+        fn spawn(log: &mut Log, e: &mut Engine<Log>, a: u64, _: u64) {
+            log.push((e.now().as_millis(), a));
+            if a == 1 {
+                e.schedule_call(e.now(), "spawned", log_at, 3, 0);
+            }
         }
-        let outcome = engine.run_until(&mut fired, SimTime::from_millis(6));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(fired, vec![1, 5]);
-        assert_eq!(engine.now(), SimTime::from_millis(6));
-        assert_eq!(engine.events_pending(), 1);
-        // Resuming picks up the rest.
-        engine.run(&mut fired);
-        assert_eq!(fired, vec![1, 5, 10]);
-    }
-
-    #[test]
-    fn stop_request_halts_loop_but_keeps_events() {
-        let mut count = 0u32;
+        let mut log = Log::new();
         let mut engine = Engine::new();
-        engine.schedule_at(
-            SimTime::from_millis(1),
-            |count: &mut u32, e: &mut Engine<u32>| {
-                *count += 1;
-                e.request_stop();
-            },
-        );
-        engine.schedule_at(SimTime::from_millis(2), |count: &mut u32, _| {
-            *count += 1;
-        });
-        assert_eq!(engine.run(&mut count), RunOutcome::Stopped);
-        assert_eq!(count, 1);
-        assert_eq!(engine.events_pending(), 1);
-        assert_eq!(engine.run(&mut count), RunOutcome::Drained);
-        assert_eq!(count, 2);
+        engine.schedule_call(SimTime::from_millis(4), "first", spawn, 1, 0);
+        engine.schedule_call(SimTime::from_millis(4), "second", spawn, 2, 0);
+        engine.schedule_call(SimTime::from_millis(5), "later", spawn, 4, 0);
+        engine.run(&mut log);
+        assert_eq!(log, vec![(4, 1), (4, 2), (4, 3), (5, 4)]);
+        assert_eq!(engine.events_executed(), 4);
     }
 
     #[test]
     #[should_panic(expected = "before now")]
     fn scheduling_in_the_past_panics() {
         let mut engine: Engine<()> = Engine::new();
-        engine.schedule_at(SimTime::from_millis(5), |_, _| {});
+        engine.schedule_call(SimTime::from_millis(5), "early", noop, 0, 0);
         engine.run(&mut ());
-        engine.schedule_at(SimTime::from_millis(1), |_, _| {});
+        engine.schedule_call(SimTime::from_millis(1), "late", noop, 0, 0);
     }
 
     #[test]
     fn same_instant_is_fifo() {
-        let mut order = Vec::new();
+        let mut log = Log::new();
         let mut engine = Engine::new();
         for i in 0..10 {
-            engine.schedule_at(SimTime::from_millis(3), move |order: &mut Vec<i32>, _| {
-                order.push(i);
-            });
+            engine.schedule_call(SimTime::from_millis(3), "tie", log_at, i, 0);
         }
-        engine.run(&mut order);
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        engine.run(&mut log);
+        assert_eq!(log, (0..10).map(|i| (3, i)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn step_on_empty_returns_false() {
+    fn run_on_an_empty_engine_is_a_no_op() {
         let mut engine: Engine<()> = Engine::new();
-        assert!(!engine.step(&mut ()));
+        engine.run(&mut ());
+        assert_eq!(engine.events_executed(), 0);
+        assert_eq!(engine.now(), SimTime::ZERO);
     }
 
     #[test]
-    fn scheduled_calls_interleave_with_closures_in_fifo_order() {
-        fn push(log: &mut Vec<(u64, u64)>, e: &mut Engine<Vec<(u64, u64)>>, a: u64, b: u64) {
+    fn calls_carry_both_payload_words() {
+        fn push(log: &mut Log, e: &mut Engine<Log>, a: u64, b: u64) {
             let now = e.now().as_millis();
             log.push((now * 100 + a, b));
         }
-        let mut log: Vec<(u64, u64)> = Vec::new();
+        let mut log = Log::new();
         let mut engine = Engine::with_capacity(4);
         engine.schedule_call(SimTime::from_millis(2), "call", push, 1, 10);
-        engine.schedule_at(SimTime::from_millis(2), |log: &mut Vec<(u64, u64)>, _| {
-            log.push((999, 0));
-        });
+        engine.schedule_call(SimTime::from_millis(2), "call", push, 3, 30);
         engine.schedule_call(SimTime::from_millis(1), "call", push, 2, 20);
-        assert_eq!(engine.run(&mut log), RunOutcome::Drained);
+        engine.run(&mut log);
         // Time order first, then insertion order at the same instant.
-        assert_eq!(log, vec![(102, 20), (201, 10), (999, 0)]);
+        assert_eq!(log, vec![(102, 20), (201, 10), (203, 30)]);
         assert_eq!(engine.events_executed(), 3);
     }
 
     #[test]
-    fn scheduled_calls_can_schedule_followups() {
+    fn scheduled_calls_can_reschedule_themselves() {
         fn tick(count: &mut u64, e: &mut Engine<u64>, n: u64, _: u64) {
             *count += n;
             if n < 4 {
@@ -480,6 +306,7 @@ mod tests {
         engine.schedule_call(SimTime::ZERO, "tick", tick, 1, 0);
         engine.run(&mut count);
         assert_eq!(count, 1 + 2 + 3 + 4);
+        assert_eq!(engine.now(), SimTime::from_millis(3));
     }
 
     #[test]
@@ -506,21 +333,8 @@ mod tests {
     #[should_panic(expected = "before now")]
     fn batch_scheduling_in_the_past_panics() {
         let mut engine: Engine<()> = Engine::new();
-        engine.schedule_at(SimTime::from_millis(5), |_, _| {});
+        engine.schedule_call(SimTime::from_millis(5), "early", noop, 0, 0);
         engine.run(&mut ());
-        engine.schedule_call_batch(
-            "late",
-            |_, _, _, _| {},
-            [(SimTime::from_millis(1), 0u64, 0u64)],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "before now")]
-    fn scheduling_a_call_in_the_past_panics() {
-        let mut engine: Engine<()> = Engine::new();
-        engine.schedule_at(SimTime::from_millis(5), |_, _| {});
-        engine.run(&mut ());
-        engine.schedule_call(SimTime::from_millis(1), "late", |_, _, _, _| {}, 0, 0);
+        engine.schedule_call_batch("late", noop, [(SimTime::from_millis(1), 0u64, 0u64)]);
     }
 }

@@ -8,10 +8,11 @@
 //!
 //! * [`time`] — [`SimTime`] / [`SimDuration`]
 //!   integer-nanosecond clock types.
-//! * [`queue`] — the pending-event set with deterministic FIFO tie-breaking.
+//! * [`queue`] — the pending-event set (a hierarchical timer wheel) with
+//!   deterministic FIFO tie-breaking, plus the binary-heap oracle the
+//!   tests check it against.
 //! * [`engine`] — the [`Engine`] execution loop.
-//! * [`stats`] — counters, streaming moments, histograms, time-weighted
-//!   averages.
+//! * [`stats`] — streaming moments and histograms.
 //! * [`metrics`] — deterministic registry of named counters, gauges and
 //!   histograms, snapshotable to a stable-ordered report.
 //! * [`trace`] — structured execution traces: hierarchical spans with typed
@@ -35,16 +36,17 @@
 //!     samples: u32,
 //! }
 //!
-//! fn sample(w: &mut World, e: &mut Engine<World>) {
+//! fn sample(w: &mut World, e: &mut Engine<World>, _: u64, _: u64) {
 //!     w.samples += 1;
 //!     if w.samples < 1000 {
-//!         e.schedule_in(SimDuration::from_millis(1), sample); // 1 kHz
+//!         let next = e.now() + SimDuration::from_millis(1); // 1 kHz
+//!         e.schedule_call(next, "sample", sample, 0, 0);
 //!     }
 //! }
 //!
 //! let mut world = World::default();
 //! let mut engine = Engine::new();
-//! engine.schedule_at(SimTime::ZERO, sample);
+//! engine.schedule_call(SimTime::ZERO, "sample", sample, 0, 0);
 //! engine.run(&mut world);
 //! assert_eq!(world.samples, 1000);
 //! assert_eq!(engine.now(), SimTime::from_millis(999));
@@ -63,7 +65,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use engine::{Engine, RunOutcome};
+pub use engine::Engine;
 pub use faults::{FaultKind, FaultPlan, FaultScript, FaultStats};
 pub use metrics::{MetricsRegistry, MetricsReport};
 pub use rng::SeedTree;

@@ -7,10 +7,10 @@
 //! every experiment in this workspace relies on for bit-for-bit
 //! reproducibility.
 //!
-//! # Backends
+//! # The timer wheel
 //!
-//! The default backend is a **hierarchical timer wheel**: [`LEVELS`]
-//! fixed-size levels of [`SLOTS`] slots each, level 0 at a granularity of
+//! The queue is a **hierarchical timer wheel**: [`LEVELS`] fixed-size
+//! levels of [`SLOTS`] slots each, level 0 at a granularity of
 //! 2^[`SLOT_NS_BITS`] ns (≈1.05 ms), each higher level 64× coarser.
 //! Scheduling an event hashes its due time to a slot — O(1) — and firing
 //! takes whole slots at a time, so the dominant periodic-tick traffic
@@ -23,13 +23,14 @@
 //! `(time, seq)` — whose head is always the global minimum. Advancing to
 //! the next occupied slot sorts that slot's entries once (an alloc-free
 //! linked-list mergesort over the node arena), so ties stay FIFO and a
-//! drain is seq-for-seq identical to the reference heap's.
+//! drain is seq-for-seq identical to a binary heap's.
 //!
-//! [`EventQueue::reference`] builds the original [`BinaryHeap`] backend
-//! instead. It is kept as the *oracle*: the property suites drain random
-//! schedules through both backends and require identical output, and the
-//! tier-1 equivalence tests pin full-`RunResult` byte identity between
-//! engines on either backend.
+//! # The oracle
+//!
+//! [`ReferenceQueue`] is the original [`BinaryHeap`] queue, kept only as
+//! the *oracle* the wheel is proven against: the property suites drain
+//! random schedules through both and require identical output. Nothing at
+//! run time builds one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -142,7 +143,8 @@ impl Ord for FarEntry {
     }
 }
 
-/// The hierarchical timer wheel backend.
+/// A deterministic priority queue of timed events: the hierarchical timer
+/// wheel described in the [module documentation](self).
 ///
 /// Invariants (checked by the property/oracle suites):
 ///
@@ -155,11 +157,26 @@ impl Ord for FarEntry {
 ///    levels order below higher levels, and the overflow is beyond the
 ///    whole wheel);
 /// 3. eager advance: `len > 0` ⇔ `current != NIL`, which makes
-///    [`Wheel::peek_front_time`] a borrow-free O(1) read.
-struct Wheel<T> {
+///    [`EventQueue::peek_time`] a borrow-free O(1) read.
+///
+/// # Examples
+///
+/// ```
+/// use iotse_sim::queue::EventQueue;
+/// use iotse_sim::time::SimTime;
+///
+/// let mut q = EventQueue::new();
+/// q.push(SimTime::from_millis(2), "late");
+/// q.push(SimTime::from_millis(1), "early");
+/// q.push(SimTime::from_millis(1), "early-second");
+/// assert_eq!(q.pop().map(|s| s.item), Some("early"));
+/// assert_eq!(q.pop().map(|s| s.item), Some("early-second"));
+/// assert_eq!(q.pop().map(|s| s.item), Some("late"));
+/// assert!(q.is_empty());
+/// ```
+pub struct EventQueue<T> {
     /// Node storage; pops recycle indices through the free list, so the
-    /// arena length is the high-water pending count, exactly like the
-    /// reference heap's buffer.
+    /// arena length is the high-water pending count.
     arena: Vec<Node<T>>,
     free_head: u32,
     free_len: usize,
@@ -173,11 +190,30 @@ struct Wheel<T> {
     current: u32,
     current_tail: u32,
     len: usize,
+    next_seq: u64,
 }
 
-impl<T> Wheel<T> {
-    fn with_arena_capacity(capacity: usize) -> Wheel<T> {
-        Wheel {
+impl<T> std::fmt::Debug for EventQueue<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventQueue")
+            .field("len", &self.len)
+            .field("scheduled_total", &self.next_seq)
+            .finish()
+    }
+}
+
+impl<T> EventQueue<T> {
+    /// Creates an empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue with node storage for `capacity`
+    /// concurrently pending events.
+    #[must_use]
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
             arena: Vec::with_capacity(capacity),
             free_head: NIL,
             free_len: 0,
@@ -189,7 +225,141 @@ impl<T> Wheel<T> {
             current: NIL,
             current_tail: NIL,
             len: 0,
+            next_seq: 0,
         }
+    }
+
+    /// Schedules `item` at `time`. Returns the sequence number assigned,
+    /// which is unique within this queue and reflects insertion order.
+    // iotse-lint: hot-path
+    pub fn push(&mut self, time: SimTime, item: T) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let idx = self.alloc_node(time, seq, item);
+        self.len += 1;
+        self.place_node(idx);
+        if self.current == NIL {
+            self.advance_wheel();
+        }
+        seq
+    }
+
+    /// Ensures space for at least `additional` more entries without
+    /// regrowing the backing storage.
+    pub fn reserve(&mut self, additional: usize) {
+        // Recycled free-list nodes absorb pushes before the arena grows.
+        self.arena.reserve(additional.saturating_sub(self.free_len));
+    }
+
+    /// Schedules every `(time, item)` pair of `batch`, reserving capacity
+    /// up front so bulk scheduling does not regrow storage entry by entry.
+    /// The reservation trusts the iterator's *upper* size hint when one is
+    /// reported (an `ExactSizeIterator` reports `(n, Some(n))`; adapters
+    /// like `take` may report a conservative lower bound with an exact
+    /// upper), falling back to the lower bound otherwise. Sequence numbers
+    /// are assigned in iteration order — the result is indistinguishable
+    /// from calling [`EventQueue::push`] in a loop. Returns the number of
+    /// entries pushed.
+    pub fn push_batch(&mut self, batch: impl IntoIterator<Item = (SimTime, T)>) -> usize {
+        let batch = batch.into_iter();
+        let (lo, hi) = batch.size_hint();
+        self.reserve(hi.unwrap_or(lo));
+        let mut pushed = 0;
+        for (time, item) in batch {
+            self.push(time, item);
+            pushed += 1;
+        }
+        pushed
+    }
+
+    /// Removes and returns the earliest entry (FIFO among ties), or `None`
+    /// if the queue is empty.
+    // iotse-lint: hot-path
+    pub fn pop(&mut self) -> Option<Scheduled<T>> {
+        let idx = self.current;
+        if idx == NIL {
+            return None;
+        }
+        let i = idx as usize;
+        let time = self.arena[i].time;
+        let seq = self.arena[i].seq;
+        let item = self.arena[i].item.take()?;
+        self.current = self.arena[i].next;
+        if self.current == NIL {
+            self.current_tail = NIL;
+        }
+        self.arena[i].next = self.free_head;
+        self.free_head = idx;
+        self.free_len += 1;
+        self.len -= 1;
+        if self.current == NIL && self.len > 0 {
+            self.advance_wheel();
+        }
+        Some(Scheduled { time, seq, item })
+    }
+
+    /// Removes and returns the earliest entry only if it is due exactly at
+    /// `time`. The engine's run loop drains a whole tick with one slot
+    /// visit this way: `pop_at(t)` until `None`, no re-peek per event.
+    /// Because the current head is the global minimum, a `None` here means
+    /// no pending entry is due at `time`.
+    // iotse-lint: hot-path
+    pub fn pop_at(&mut self, time: SimTime) -> Option<Scheduled<T>> {
+        if self.current == NIL || self.arena[self.current as usize].time != time {
+            return None;
+        }
+        self.pop()
+    }
+
+    /// The due time of the earliest entry without removing it.
+    // iotse-lint: hot-path
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        if self.current == NIL {
+            None
+        } else {
+            Some(self.arena[self.current as usize].time)
+        }
+    }
+
+    /// Number of pending entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if no entries are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entries the queue can hold concurrently without reallocating.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.arena.capacity()
+    }
+
+    /// Total number of entries ever scheduled on this queue.
+    #[must_use]
+    pub fn scheduled_total(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Discards all pending entries (the sequence counter keeps advancing,
+    /// so determinism is unaffected).
+    pub fn clear(&mut self) {
+        self.arena.clear();
+        self.free_head = NIL;
+        self.free_len = 0;
+        self.heads = [[NIL; SLOTS]; LEVELS];
+        self.tails = [[NIL; SLOTS]; LEVELS];
+        self.occupied = [0; LEVELS];
+        self.overflow.clear();
+        self.cursor = 0;
+        self.current = NIL;
+        self.current_tail = NIL;
+        self.len = 0;
     }
 
     fn alloc_node(&mut self, time: SimTime, seq: u64, item: T) -> u32 {
@@ -215,16 +385,6 @@ impl<T> Wheel<T> {
             item: Some(item),
         });
         (self.arena.len() - 1) as u32
-    }
-
-    // iotse-lint: hot-path
-    fn push_entry(&mut self, time: SimTime, seq: u64, item: T) {
-        let idx = self.alloc_node(time, seq, item);
-        self.len += 1;
-        self.place_node(idx);
-        if self.current == NIL {
-            self.advance_wheel();
-        }
     }
 
     /// Routes a node to the current list, a wheel slot, or the overflow
@@ -303,50 +463,6 @@ impl<T> Wheel<T> {
         // the tail and `current_tail` is unchanged.
     }
 
-    // iotse-lint: hot-path
-    fn peek_front_time(&self) -> Option<SimTime> {
-        if self.current == NIL {
-            None
-        } else {
-            Some(self.arena[self.current as usize].time)
-        }
-    }
-
-    // iotse-lint: hot-path
-    fn pop_front(&mut self) -> Option<Scheduled<T>> {
-        let idx = self.current;
-        if idx == NIL {
-            return None;
-        }
-        let i = idx as usize;
-        let time = self.arena[i].time;
-        let seq = self.arena[i].seq;
-        let item = self.arena[i].item.take()?;
-        self.current = self.arena[i].next;
-        if self.current == NIL {
-            self.current_tail = NIL;
-        }
-        self.arena[i].next = self.free_head;
-        self.free_head = idx;
-        self.free_len += 1;
-        self.len -= 1;
-        if self.current == NIL && self.len > 0 {
-            self.advance_wheel();
-        }
-        Some(Scheduled { time, seq, item })
-    }
-
-    /// Pops the head only if it is due exactly at `time` — the engine's
-    /// batched same-tick drain. Because the current head is the global
-    /// minimum, a `None` here means no pending entry is due at `time`.
-    // iotse-lint: hot-path
-    fn pop_front_at(&mut self, time: SimTime) -> Option<Scheduled<T>> {
-        if self.current == NIL || self.arena[self.current as usize].time != time {
-            return None;
-        }
-        self.pop_front()
-    }
-
     fn take_slot(&mut self, level: usize, si: usize) -> u32 {
         let head = self.heads[level][si];
         self.heads[level][si] = NIL;
@@ -400,7 +516,7 @@ impl<T> Wheel<T> {
     }
 
     /// Drains every overflow entry that fits the wheel (or is already due)
-    /// back through [`Wheel::place_node`].
+    /// back through [`EventQueue::place_node`].
     // iotse-lint: hot-path
     fn refill_from_overflow(&mut self) {
         while let Some(far) = self.overflow.peek() {
@@ -533,286 +649,87 @@ impl<T> Wheel<T> {
         }
         head
     }
+}
 
-    fn reserve_entries(&mut self, additional: usize) {
-        // Recycled free-list nodes absorb pushes before the arena grows.
-        self.arena.reserve(additional.saturating_sub(self.free_len));
-    }
-
-    fn clear_entries(&mut self) {
-        self.arena.clear();
-        self.free_head = NIL;
-        self.free_len = 0;
-        self.heads = [[NIL; SLOTS]; LEVELS];
-        self.tails = [[NIL; SLOTS]; LEVELS];
-        self.occupied = [0; LEVELS];
-        self.overflow.clear();
-        self.cursor = 0;
-        self.current = NIL;
-        self.current_tail = NIL;
-        self.len = 0;
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-/// The reference backend: the original `(time, seq)`-ordered binary heap,
-/// kept as the oracle the wheel is proven against.
-struct RefHeap<T> {
+/// The oracle: the original `(time, seq)`-ordered binary heap with its own
+/// sequence counter. It honors the [`EventQueue`] ordering contract with a
+/// plainly correct implementation, and the property suites drain random
+/// schedules through both queues demanding seq-for-seq agreement. Only
+/// tests use it; the engine always runs on the wheel.
+#[derive(Debug)]
+pub struct ReferenceQueue<T> {
     heap: BinaryHeap<Scheduled<T>>,
+    next_seq: u64,
 }
 
-impl<T> RefHeap<T> {
-    fn push_entry(&mut self, time: SimTime, seq: u64, item: T) {
+impl<T> ReferenceQueue<T> {
+    /// Creates an empty heap.
+    #[must_use]
+    pub fn new() -> Self {
+        ReferenceQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Schedules `item` at `time`; returns its sequence number.
+    pub fn push(&mut self, time: SimTime, item: T) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.heap.push(Scheduled { time, seq, item });
+        seq
     }
 
-    fn peek_front_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    fn pop_front(&mut self) -> Option<Scheduled<T>> {
+    /// Removes and returns the earliest entry (FIFO among ties).
+    pub fn pop(&mut self) -> Option<Scheduled<T>> {
         self.heap.pop()
     }
 
-    fn pop_front_at(&mut self, time: SimTime) -> Option<Scheduled<T>> {
+    /// Removes and returns the earliest entry only if it is due at `time`.
+    pub fn pop_at(&mut self, time: SimTime) -> Option<Scheduled<T>> {
         match self.heap.peek() {
             Some(s) if s.time == time => self.heap.pop(),
             _ => None,
         }
     }
 
-    fn pending_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn reserve_entries(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    fn clear_entries(&mut self) {
-        self.heap.clear();
-    }
-
-    fn capacity_entries(&self) -> usize {
-        self.heap.capacity()
-    }
-}
-
-// The wheel's inline slot tables dwarf the reference heap, but every
-// queue is wheel-backed except in oracle tests, and boxing the wheel
-// would cost an extra heap allocation per engine — breaking the exact
-// `allocs` parity the bench gate pins against the old heap engine.
-#[allow(clippy::large_enum_variant)] // lint: boxing the wheel would break exact alloc-count parity
-enum Backend<T> {
-    Wheel(Wheel<T>),
-    Heap(RefHeap<T>),
-}
-
-/// A deterministic priority queue of timed events.
-///
-/// # Examples
-///
-/// ```
-/// use iotse_sim::queue::EventQueue;
-/// use iotse_sim::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_millis(2), "late");
-/// q.push(SimTime::from_millis(1), "early");
-/// q.push(SimTime::from_millis(1), "early-second");
-/// assert_eq!(q.pop().map(|s| s.item), Some("early"));
-/// assert_eq!(q.pop().map(|s| s.item), Some("early-second"));
-/// assert_eq!(q.pop().map(|s| s.item), Some("late"));
-/// assert!(q.is_empty());
-/// ```
-pub struct EventQueue<T> {
-    backend: Backend<T>,
-    next_seq: u64,
-}
-
-impl<T> std::fmt::Debug for EventQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.backend {
-            Backend::Wheel(_) => "wheel",
-            Backend::Heap(_) => "heap",
-        };
-        f.debug_struct("EventQueue")
-            .field("backend", &backend)
-            .field("len", &self.len())
-            .field("scheduled_total", &self.next_seq)
-            .finish()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty timer-wheel queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            backend: Backend::Wheel(Wheel::with_arena_capacity(0)),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty timer-wheel queue with node storage for
-    /// `capacity` concurrently pending events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: Backend::Wheel(Wheel::with_arena_capacity(capacity)),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue on the reference binary-heap backend — the
-    /// oracle the timer wheel is verified against. Ordering and the whole
-    /// [`EventQueue`] contract are identical; only the complexity profile
-    /// differs.
-    #[must_use]
-    pub fn reference() -> Self {
-        EventQueue {
-            backend: Backend::Heap(RefHeap {
-                heap: BinaryHeap::new(),
-            }),
-            next_seq: 0,
-        }
-    }
-
-    /// Like [`EventQueue::reference`], with space for `capacity` events.
-    #[must_use]
-    pub fn reference_with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: Backend::Heap(RefHeap {
-                heap: BinaryHeap::with_capacity(capacity),
-            }),
-            next_seq: 0,
-        }
-    }
-
-    /// `true` when this queue runs on the reference binary-heap backend.
-    #[must_use]
-    pub fn is_reference(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
-    }
-
-    /// Schedules `item` at `time`. Returns the sequence number assigned,
-    /// which is unique within this queue and reflects insertion order.
-    // iotse-lint: hot-path
-    pub fn push(&mut self, time: SimTime, item: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push_entry(time, seq, item),
-            Backend::Heap(h) => h.push_entry(time, seq, item),
-        }
-        seq
-    }
-
-    /// Ensures space for at least `additional` more entries without
-    /// regrowing the backing storage.
-    pub fn reserve(&mut self, additional: usize) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.reserve_entries(additional),
-            Backend::Heap(h) => h.reserve_entries(additional),
-        }
-    }
-
-    /// Schedules every `(time, item)` pair of `batch`, reserving capacity
-    /// up front so bulk scheduling does not regrow storage entry by entry.
-    /// The reservation trusts the iterator's *upper* size hint when one is
-    /// reported (an `ExactSizeIterator` reports `(n, Some(n))`; adapters
-    /// like `take` may report a conservative lower bound with an exact
-    /// upper), falling back to the lower bound otherwise. Sequence numbers
-    /// are assigned in iteration order — the result is indistinguishable
-    /// from calling [`EventQueue::push`] in a loop. Returns the number of
-    /// entries pushed.
-    pub fn push_batch(&mut self, batch: impl IntoIterator<Item = (SimTime, T)>) -> usize {
-        let batch = batch.into_iter();
-        let (lo, hi) = batch.size_hint();
-        let bound = match hi {
-            Some(hi) => hi,
-            None => lo,
-        };
-        self.reserve(bound);
-        let mut pushed = 0;
-        for (time, item) in batch {
-            self.push(time, item);
-            pushed += 1;
-        }
-        pushed
-    }
-
-    /// Removes and returns the earliest entry (FIFO among ties), or `None`
-    /// if the queue is empty.
-    // iotse-lint: hot-path
-    pub fn pop(&mut self) -> Option<Scheduled<T>> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.pop_front(),
-            Backend::Heap(h) => h.pop_front(),
-        }
-    }
-
-    /// Removes and returns the earliest entry only if it is due exactly at
-    /// `time`. The engine's run loop drains a whole tick with one slot
-    /// visit this way: `pop_at(t)` until `None`, no re-peek per event.
-    // iotse-lint: hot-path
-    pub fn pop_at(&mut self, time: SimTime) -> Option<Scheduled<T>> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.pop_front_at(time),
-            Backend::Heap(h) => h.pop_front_at(time),
-        }
-    }
-
-    /// The due time of the earliest entry without removing it.
-    // iotse-lint: hot-path
+    /// The due time of the earliest entry.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Wheel(w) => w.peek_front_time(),
-            Backend::Heap(h) => h.peek_front_time(),
-        }
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(w) => w.len,
-            Backend::Heap(h) => h.pending_len(),
-        }
+        self.heap.len()
     }
 
     /// `true` if no entries are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
-    /// Entries the queue can hold concurrently without reallocating.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(w) => w.arena.capacity(),
-            Backend::Heap(h) => h.capacity_entries(),
-        }
-    }
-
-    /// Total number of entries ever scheduled on this queue.
+    /// Total number of entries ever scheduled.
     #[must_use]
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
 
-    /// Discards all pending entries (the sequence counter keeps advancing,
-    /// so determinism is unaffected).
+    /// Discards all pending entries; the sequence counter keeps advancing.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.clear_entries(),
-            Backend::Heap(h) => h.clear_entries(),
-        }
+        self.heap.clear();
     }
 }
 
-impl<T> Default for EventQueue<T> {
+impl<T> Default for ReferenceQueue<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -936,15 +853,14 @@ mod tests {
                 (0, Some(100))
             }
         }
-        for mut q in [EventQueue::new(), EventQueue::reference()] {
-            assert_eq!(q.push_batch(Hinted { produced: 0 }), 8);
-            assert_eq!(q.len(), 8);
-            assert!(
-                q.capacity() >= 100,
-                "upper hint not reserved: capacity {}",
-                q.capacity()
-            );
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.push_batch(Hinted { produced: 0 }), 8);
+        assert_eq!(q.len(), 8);
+        assert!(
+            q.capacity() >= 100,
+            "upper hint not reserved: capacity {}",
+            q.capacity()
+        );
     }
 
     #[test]
@@ -1029,11 +945,9 @@ mod tests {
     }
 
     #[test]
-    fn reference_backend_honors_the_same_contract() {
+    fn reference_queue_honors_the_same_contract() {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        assert!(!wheel.is_reference());
-        assert!(heap.is_reference());
+        let mut heap = ReferenceQueue::new();
         for (t, v) in [(30u64, 3), (10, 1), (10, 2), (20, 4)] {
             wheel.push(SimTime::from_nanos(t), v);
             heap.push(SimTime::from_nanos(t), v);
@@ -1055,11 +969,11 @@ mod tests {
     fn wheel_matches_reference_on_random_interleavings() {
         // In-module mini-oracle (the full suite lives in
         // tests/properties.rs): random pushes at mixed magnitudes with
-        // interleaved pops drain seq-for-seq identically on both backends.
+        // interleaved pops drain seq-for-seq identically on both queues.
         for case in 0..40u64 {
             let mut rng = SimRng::seed_from_u64(0x7EE1_0000 ^ case);
             let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::reference();
+            let mut heap = ReferenceQueue::new();
             for op in 0..300u64 {
                 if rng.gen_bool(0.3) && !heap.is_empty() {
                     let a = wheel.pop();

@@ -13,7 +13,7 @@ use iotse::apps::kernels::sync::{chunk, ChunkConfig};
 use iotse::energy::attribution::{Device, Routine};
 use iotse::energy::{EnergyLedger, Power, PowerTrace};
 use iotse::prelude::*;
-use iotse::sim::queue::EventQueue;
+use iotse::sim::queue::{EventQueue, ReferenceQueue};
 use iotse::sim::rng::SimRng;
 
 /// Runs `body` over `cases` random cases; the per-case RNG is derived from
@@ -50,17 +50,17 @@ fn event_queue_orders_any_schedule() {
     });
 }
 
-/// The timer wheel is drained identically to the reference binary heap —
-/// seq-for-seq, time-for-time — under random schedule/pop interleavings
-/// mixing near-future, far-future (overflow-heap), and "past" times (at or
-/// before an already-advanced cursor), dense ties, and pushes issued
-/// mid-drain. This is the oracle that licenses swapping the engine's queue
-/// backend.
+/// The timer wheel (`EventQueue`) is drained identically to the binary-heap
+/// oracle (`ReferenceQueue`) — seq-for-seq, time-for-time — under random
+/// schedule/pop interleavings mixing near-future, far-future
+/// (overflow-heap), and "past" times (at or before an already-advanced
+/// cursor), dense ties, and pushes issued mid-drain. This is the oracle
+/// that licenses the wheel as the engine's only queue.
 #[test]
 fn timer_wheel_matches_reference_heap_on_any_interleaving() {
     forall(150, |case, rng| {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference();
+        let mut heap = ReferenceQueue::new();
         // Monotone low-water mark a real engine would impose (times are
         // never scheduled before the last popped instant). Tracking it
         // lets the generator aim pushes *at* the frontier — the "past"
@@ -129,14 +129,13 @@ fn timer_wheel_matches_reference_heap_on_any_interleaving() {
     });
 }
 
-/// Clearing either backend mid-flight preserves the shared sequence
-/// counter, and a reused queue orders a fresh schedule exactly like a new
+/// Clearing either queue mid-flight preserves its sequence counter, and a reused queue orders a fresh schedule exactly like a new
 /// one.
 #[test]
 fn timer_wheel_clear_matches_reference_heap() {
     forall(60, |case, rng| {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference();
+        let mut heap = ReferenceQueue::new();
         for i in 0..rng.gen_range(1..100u64) {
             let magnitude = rng.gen_range(1..60u32);
             let t = SimTime::from_nanos(rng.gen_range(0..1u64 << magnitude));
