@@ -79,7 +79,7 @@ fn main() -> ExitCode {
                 _ => return fail("--jobs needs a positive integer"),
             },
             "--faults" => match args.next().as_deref() {
-                Some("demo") => req.faults = iotse_core::robustness::demo_scripts(),
+                Some("demo") => req.faults = iotse_core::scenario_spec::demo_scripts(),
                 Some(other) => return fail(&format!("unknown fault set '{other}' (demo)")),
                 None => return fail("--faults needs a set name (demo)"),
             },
@@ -98,7 +98,7 @@ fn main() -> ExitCode {
                 None => return fail("--vs-seed needs an integer"),
             },
             "--vs-faults" if diff_mode => match args.next().as_deref() {
-                Some("demo") => vs_faults = Some(iotse_core::robustness::demo_scripts()),
+                Some("demo") => vs_faults = Some(iotse_core::scenario_spec::demo_scripts()),
                 Some(other) => return fail(&format!("unknown fault set '{other}' (demo)")),
                 None => return fail("--vs-faults needs a set name (demo)"),
             },

@@ -382,7 +382,7 @@ pub fn cases() -> Vec<Case> {
             run: Box::new(move || {
                 CaseOutput::of(
                     &scenario(scheme)
-                        .faults(iotse_core::robustness::demo_scripts())
+                        .faults(iotse_core::scenario_spec::demo_scripts())
                         .run(),
                 )
             }),
@@ -404,7 +404,7 @@ pub fn cases() -> Vec<Case> {
                 CaseOutput::of(
                     &scenario(scheme)
                         .with_telemetry()
-                        .faults(iotse_core::robustness::demo_scripts())
+                        .faults(iotse_core::scenario_spec::demo_scripts())
                         .run(),
                 )
             }),

@@ -47,7 +47,7 @@ fn stormy(scheme: Scheme, jobs: usize) -> InspectRequest {
     InspectRequest {
         scheme,
         jobs,
-        faults: iotse_core::robustness::demo_scripts(),
+        faults: iotse_core::scenario_spec::demo_scripts(),
         ..InspectRequest::default()
     }
 }

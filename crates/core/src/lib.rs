@@ -25,13 +25,11 @@
 //! * [`telemetry`] — windowed telemetry: per-window/per-routine energy
 //!   stacks, per-app QoS series and streaming EWMA/CUSUM drift alerts,
 //!   recorded at window boundaries when a scenario opts in.
-//! * [`robustness`] — scripted-fault robustness grading: runs every scheme
-//!   clean and faulted, grades pluggable expectations, emits a
-//!   [`robustness::RobustnessReport`].
 //! * [`scenario_spec`] — the declarative scenario language: `scenarios/*.toml`
 //!   files declaring device populations, weighted app mixes, schemes, seeds,
 //!   faults and expectations, compiled onto the fleet runner and graded into
-//!   a [`scenario_spec::SpecReport`].
+//!   a [`scenario_spec::SpecReport`] — the one way a run is graded. It also
+//!   owns the committed demo fault storm ([`scenario_spec::demo_scripts`]).
 //! * [`result`] — energy breakdowns, per-app QoS/processing reports,
 //!   speedups.
 //!
@@ -60,7 +58,6 @@ pub mod executor;
 pub mod mcu;
 pub mod power;
 pub mod result;
-pub mod robustness;
 pub mod runner;
 pub mod scenario_spec;
 pub mod scheme;
@@ -70,7 +67,6 @@ pub mod workload;
 pub use calibration::Calibration;
 pub use executor::Scenario;
 pub use result::{AppFlow, RunResult};
-pub use robustness::{Expectation, RobustnessReport};
 pub use runner::{fleet_window_percentiles, run_fleet, Fleet, WindowPercentiles};
 pub use scenario_spec::{run_spec, ScenarioSpec, SpecCheck, SpecError, SpecReport};
 pub use scheme::Scheme;

@@ -629,15 +629,22 @@ fn parse_fault(table: &RawTable, line: usize) -> Result<FaultScript, SpecError> 
             ))
         }
     };
-    let start_ms = int_param("start_ms")?;
-    let duration_ms = int_param("duration_ms")?;
+    // Nanosecond times: a millisecond count past u64::MAX / 1e6 would
+    // overflow the conversion.
+    let nanos = |key: &str| -> Result<u64, SpecError> {
+        let v = r.required(key)?;
+        let ms = r.u64_of(key, v)?;
+        ms.checked_mul(1_000_000).ok_or_else(|| {
+            SpecError::new(
+                v.0,
+                format!("`{key}` = {ms} exceeds {} ms", u64::MAX / 1_000_000),
+            )
+        })
+    };
+    let start = SimTime::from_nanos(nanos("start_ms")?);
+    let duration = SimDuration::from_nanos(nanos("duration_ms")?);
     let seed = int_param("seed")?;
-    let mut script = FaultScript::new(
-        kind,
-        SimTime::from_millis(start_ms),
-        SimDuration::from_millis(duration_ms),
-    )
-    .seeded(seed);
+    let mut script = FaultScript::new(kind, start, duration).seeded(seed);
     if let Some(v) = r.get("target") {
         let name = r.str_of("target", v)?;
         let Some(sensor) = parse_sensor(name) else {
@@ -854,7 +861,7 @@ impl ScenarioSpec {
         let mut faults: Vec<FaultScript> = Vec::new();
         if let Some(v) = r.get("faults") {
             match r.str_of("faults", v)? {
-                "demo" => faults.extend(crate::robustness::demo_scripts()),
+                "demo" => faults.extend(demo_scripts()),
                 other => {
                     return Err(SpecError::new(
                         v.0,
@@ -1021,6 +1028,61 @@ impl ScenarioSpec {
         }
         s
     }
+}
+
+/// The committed demo fault storm: every [`FaultKind`] fires at least once
+/// over a 2-window, 1 kHz S4 scenario (A2 + A7 in the bench suite). Times
+/// are inside `[0, 2 s)`; S4 is target slot 3.
+#[must_use]
+pub fn demo_scripts() -> Vec<FaultScript> {
+    let s4 = iotse_sensors::spec::SensorId::S4.slot();
+    vec![
+        FaultScript::new(
+            FaultKind::SensorDropout { probability: 0.2 },
+            SimTime::from_millis(100),
+            SimDuration::from_millis(300),
+        )
+        .target(s4)
+        .seeded(1),
+        FaultScript::new(
+            FaultKind::SensorStuckAt,
+            SimTime::from_millis(500),
+            SimDuration::from_millis(200),
+        )
+        .target(s4)
+        .seeded(2),
+        FaultScript::new(
+            FaultKind::SensorNoiseBurst { amplitude: 5.0 },
+            SimTime::from_millis(800),
+            SimDuration::from_millis(200),
+        )
+        .target(s4)
+        .seeded(3),
+        FaultScript::new(
+            FaultKind::LinkCorruption { per_byte: 0.05 },
+            SimTime::from_millis(1000),
+            SimDuration::from_millis(400),
+        )
+        .seeded(4),
+        FaultScript::new(
+            FaultKind::LinkPartition,
+            SimTime::from_millis(1500),
+            SimDuration::from_millis(300),
+        )
+        .seeded(5),
+        FaultScript::new(
+            FaultKind::ClockDrift { ppm: 200_000 },
+            SimTime::from_millis(1000),
+            SimDuration::from_millis(500),
+        )
+        .seeded(6),
+        FaultScript::new(
+            FaultKind::InterruptStorm { rate_hz: 2000 },
+            SimTime::from_millis(1600),
+            SimDuration::from_millis(400),
+        )
+        .seeded(7),
+    ]
 }
 
 fn scheme_or_err(s: &str, line: usize) -> Result<Scheme, SpecError> {
@@ -1440,6 +1502,18 @@ checksum = \"0x0123456789abcdef\"
         );
         let (_, msg) = err_line(&bad_dist);
         assert!(msg.contains("`distribution` must be"), "{msg}");
+
+        // Fault times past the nanosecond range, at the key's line.
+        for key in ["start_ms", "duration_ms"] {
+            let huge = format!(
+                "{MINIMAL}\n[[fault]]\nkind = \"link-partition\"\nstart_ms = 0\n\
+                 duration_ms = 0\nseed = 1\n"
+            )
+            .replace(&format!("{key} = 0"), &format!("{key} = {}", u64::MAX));
+            let (line, msg) = err_line(&huge);
+            assert_eq!(line, if key == "start_ms" { 14 } else { 15 }, "{key}");
+            assert!(msg.contains(&format!("`{key}` = {}", u64::MAX)), "{msg}");
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ const FAULT_KEYS: &[&str] = &[
     "target",
 ];
 
-/// Fault kinds known to the robustness layer.
+/// Fault kinds known to the scenario language.
 const FAULT_KINDS: &[&str] = &[
     "sensor-dropout",
     "sensor-stuck-at",

@@ -24,7 +24,7 @@
 
 use std::fmt::Write as _;
 
-use iotse::core::robustness::demo_scripts;
+use iotse::core::scenario_spec::demo_scripts;
 use iotse::prelude::*;
 
 /// Every scheme, with an app mix that exercises per-sample, batched, and

@@ -602,3 +602,92 @@ fn executor_counters_hold_for_any_seed() {
         );
     });
 }
+
+// ----------------------------------------------------- scenario spec ----
+
+/// Parses `text` under a panic guard: an `Err` must name a line of the
+/// text, and an `Ok` must parse again to the same spec.
+fn assert_parse_is_total(what: &str, text: &str) {
+    use iotse::core::ScenarioSpec;
+    let lines = text.lines().count().max(1);
+    match std::panic::catch_unwind(|| ScenarioSpec::parse(text)) {
+        Err(_) => panic!("{what}: parse panicked on\n{text}"),
+        Ok(Err(e)) => assert!(
+            (1..=lines).contains(&e.line),
+            "{what}: error line outside 1..={lines}: {e}"
+        ),
+        Ok(Ok(spec)) => assert_eq!(
+            ScenarioSpec::parse(text),
+            Ok(spec),
+            "{what}: re-parse differs"
+        ),
+    }
+}
+
+/// The committed `scenarios/*.toml` files, sorted by name.
+fn committed_scenarios() -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scenarios/ is readable")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("scenario file is UTF-8");
+            (p.display().to_string(), text)
+        })
+        .collect()
+}
+
+/// The scenario parser is total over mutations of the committed corpus:
+/// truncation at every line, every numeric literal replaced by a value
+/// past `u64`, `f64`-exact or `f64` range, random byte flips and random
+/// line swaps. No input panics; every error carries a line of its input.
+#[test]
+fn scenario_parser_survives_any_mutation() {
+    const HUGE: [&str; 4] = ["18446744073709551615", "9007199254740993", "1e308", "1e400"];
+    let files = committed_scenarios();
+    assert!(!files.is_empty(), "no committed scenarios");
+    for (name, text) in &files {
+        assert_parse_is_total(name, text);
+        let lines: Vec<&str> = text.lines().collect();
+        for cut in 0..lines.len() {
+            let truncated = lines[..cut].join("\n");
+            assert_parse_is_total(&format!("{name} cut after line {cut}"), &truncated);
+        }
+        for (i, line) in lines.iter().enumerate() {
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            if !value.trim_start().starts_with(|c: char| c.is_ascii_digit()) {
+                continue;
+            }
+            for huge in HUGE {
+                let replaced = format!("{key}= {huge}");
+                let mut mutated = lines.clone();
+                mutated[i] = &replaced;
+                let what = format!("{name} line {} = {huge}", i + 1);
+                assert_parse_is_total(&what, &mutated.join("\n"));
+            }
+        }
+    }
+    forall(240, |case, rng| {
+        let (name, text) = &files[case as usize % files.len()];
+        let mut bytes = text.clone().into_bytes();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1u8 << rng.gen_range(0..8usize);
+        }
+        let flipped = String::from_utf8_lossy(&bytes);
+        assert_parse_is_total(&format!("case {case}: {name} byte-flipped"), &flipped);
+        let mut lines: Vec<&str> = text.lines().collect();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let (a, b) = (rng.gen_range(0..lines.len()), rng.gen_range(0..lines.len()));
+            lines.swap(a, b);
+        }
+        assert_parse_is_total(&format!("case {case}: {name} shuffled"), &lines.join("\n"));
+    });
+}

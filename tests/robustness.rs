@@ -4,13 +4,16 @@
 //! identical to the seed behavior from before the fault layer existed —
 //! pinned counters, pinned energy, full-`RunResult` equality at every
 //! `--jobs` level. **On means deterministic:** the committed demo fault
-//! storm produces a byte-identical `RobustnessReport` at jobs 1/4/8,
-//! every fault kind fires, and the expectations split the schemes — the
-//! deep-sleep offloaders (COM/BCOM) blow the energy-under-fault bound
-//! that the always-active schemes meet.
+//! storm replays bitwise with pinned fault counters, and it is graded the
+//! way every run is graded — through the scenario language. One
+//! single-device spec per scheme (A2 + A7, two windows, seed 42,
+//! `faults = "demo"`) carries a `qos` and an `energy-ratio` expectation;
+//! its [`SpecReport`] is byte-identical at jobs 1/4/8, and the energy
+//! bound splits the schemes: the deep-sleep offloaders (COM/BCOM) blow it,
+//! the always-active schemes meet it.
 
-use iotse::core::robustness::{self, demo_expectations, demo_scripts};
-use iotse::core::{compute_cache, workload::WindowData};
+use iotse::core::scenario_spec::demo_scripts;
+use iotse::core::{compute_cache, run_spec, workload::WindowData, ScenarioSpec, SpecReport};
 use iotse::prelude::*;
 
 fn suite_apps(seed: u64) -> Vec<Box<dyn iotse::core::workload::Workload>> {
@@ -87,18 +90,33 @@ fn faults_off_is_bitwise_identical_with_observability_on() {
     );
 }
 
+/// Demo-storm fault counters per scheme: samples dropped, bytes
+/// corrupted, faults injected.
+const DEMO_FAULTS: [(Scheme, u64, u64, u64); 5] = [
+    (Scheme::Baseline, 131, 464, 3196),
+    (Scheme::Batching, 131, 600, 2732),
+    (Scheme::Com, 131, 0, 2731),
+    (Scheme::Beam, 76, 238, 2015),
+    (Scheme::Bcom, 131, 0, 2731),
+];
+
 #[test]
 fn faulted_runs_replay_bitwise_and_differ_from_clean_runs() {
-    for &scheme in Scheme::ALL.iter() {
+    for (scheme, samples_dropped, bytes_corrupted, faults_injected) in DEMO_FAULTS {
         let faulted = |jobs: usize| {
             run_fleet(vec![scenario(scheme, 42).faults(demo_scripts())], jobs)
                 .pop()
                 .expect("one result")
         };
         let first = faulted(1);
-        assert!(
-            first.faults.faults_injected > 0,
-            "{scheme}: no faults fired"
+        let pinned = FaultStats {
+            faults_injected,
+            samples_dropped,
+            bytes_corrupted,
+        };
+        assert_eq!(
+            first.faults, pinned,
+            "{scheme}: demo fault counters drifted"
         );
         for jobs in [1, 4, 8] {
             assert_eq!(first, faulted(jobs), "{scheme}: drifted at --jobs {jobs}");
@@ -111,38 +129,51 @@ fn faulted_runs_replay_bitwise_and_differ_from_clean_runs() {
     }
 }
 
+/// The demo storm graded for one scheme: the suite pair on one device,
+/// with the deadline-miss and energy-under-fault bounds.
+fn demo_spec(scheme: &str) -> ScenarioSpec {
+    let text = format!(
+        "[scenario]\nname = \"demo-{scheme}\"\nseed = 42\nwindows = 2\ndevices = 1\n\
+         scheme = \"{scheme}\"\nfaults = \"demo\"\n\n\
+         [[mix]]\napps = [\"A2\", \"A7\"]\n\n\
+         [[expect]]\nkind = \"qos\"\nmax_miss_ratio = 0.25\n\n\
+         [[expect]]\nkind = \"energy-ratio\"\nmax_ratio = 1.5\n"
+    );
+    ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("demo spec for {scheme}: {e}"))
+}
+
+fn demo_report(scheme: &str, jobs: usize) -> SpecReport {
+    run_spec(&demo_spec(scheme), &catalog::app, jobs)
+}
+
+/// Per scheme: faulted µJ, clean-twin µJ, measured energy ratio, and
+/// whether the 1.5× bound holds.
+const DEMO_GRADES: [(&str, &str, &str, &str, bool); 5] = [
+    ("baseline", "12534993.086", "11638173.042", "1.077058", true),
+    ("batching", "7379274.260", "5848873.668", "1.261657", true),
+    ("com", "3738852.471", "1837791.183", "2.034427", false),
+    ("beam", "10980977.577", "10936973.414", "1.004023", true),
+    ("bcom", "3738852.471", "1837791.183", "2.034427", false),
+];
+
 #[test]
 fn demo_report_is_byte_identical_at_every_jobs_level() {
-    let report_at = |jobs: usize| {
-        robustness::evaluate(
-            &|| suite_apps(42),
-            2,
-            42,
-            &demo_scripts(),
-            &demo_expectations(),
-            jobs,
-        )
-    };
-    let serial = report_at(1);
-    for jobs in [4, 8] {
-        let parallel = report_at(jobs);
-        assert_eq!(serial, parallel, "report differs at --jobs {jobs}");
-        assert_eq!(serial.render_text(), parallel.render_text());
-        assert_eq!(serial.to_csv(), parallel.to_csv());
+    for (scheme, ..) in DEMO_GRADES {
+        let serial = demo_report(scheme, 1);
+        for jobs in [4, 8] {
+            assert_eq!(
+                serial,
+                demo_report(scheme, jobs),
+                "{scheme}: report differs at --jobs {jobs}"
+            );
+        }
     }
 }
 
 #[test]
 fn demo_report_splits_the_schemes_on_the_energy_bound() {
-    let report = robustness::evaluate(
-        &|| suite_apps(42),
-        2,
-        42,
-        &demo_scripts(),
-        &demo_expectations(),
-        4,
-    );
-    // Every declared fault kind fired its way into the report header.
+    // Every fault kind is in the storm.
+    let kinds: Vec<&str> = demo_scripts().iter().map(|s| s.kind.name()).collect();
     for kind in [
         "sensor-dropout",
         "sensor-stuck-at",
@@ -152,45 +183,36 @@ fn demo_report_splits_the_schemes_on_the_energy_bound() {
         "clock-drift",
         "interrupt-storm",
     ] {
-        assert!(report.kinds.iter().any(|k| k == kind), "missing {kind}");
+        assert!(kinds.contains(&kind), "missing {kind}");
     }
-    let row = |scheme: Scheme| {
-        report
-            .rows
-            .iter()
-            .find(|r| r.scheme == scheme)
-            .unwrap_or_else(|| panic!("{scheme} missing from report"))
-    };
-    let energy_check = |scheme: Scheme| {
-        row(scheme)
-            .checks
-            .iter()
-            .find(|c| c.name == "energy-ratio")
-            .expect("energy-ratio graded")
-            .passed
-    };
     // The acceptance split: spurious interrupts wake COM/BCOM's
     // deep-sleeping CPU (a 4 mJ transition each), blowing the 1.5× energy
-    // bound; Baseline's always-active CPU shrugs them off.
-    for scheme in [Scheme::Com, Scheme::Bcom] {
-        assert!(!energy_check(scheme), "{scheme} unexpectedly met the bound");
-        assert!(!row(scheme).all_passed());
+    // bound; Baseline's always-active CPU shrugs them off. No scheme
+    // misses a deadline, clean or faulted.
+    let mut ratios = Vec::new();
+    for (scheme, total, clean, ratio, passes) in DEMO_GRADES {
+        let report = demo_report(scheme, 4);
+        assert_eq!(format!("{:.3}", report.total_uj), total, "{scheme}: energy");
+        let clean_uj = report
+            .clean_total_uj
+            .expect("energy-ratio runs the clean twin");
+        assert_eq!(format!("{clean_uj:.3}"), clean, "{scheme}: clean energy");
+        assert_eq!((report.qos_missed, report.app_windows), (0, 4), "{scheme}");
+        let [qos, energy] = &report.checks[..] else {
+            panic!("{scheme}: expected two checks, got {:?}", report.checks);
+        };
+        assert_eq!((qos.name, qos.passed), ("qos", true), "{scheme}");
+        assert_eq!(energy.name, "energy-ratio");
+        assert_eq!(energy.measured, ratio, "{scheme}: energy ratio");
+        assert_eq!(energy.passed, passes, "{scheme}: energy bound verdict");
+        assert_eq!(report.passed(), passes, "{scheme}: overall verdict");
+        ratios.push((report.total_uj / clean_uj, scheme));
     }
-    for scheme in [Scheme::Baseline, Scheme::Batching, Scheme::Beam] {
-        assert!(energy_check(scheme), "{scheme} unexpectedly blew the bound");
-    }
-    // Nothing panicked; dropout and corruption counters are live.
-    assert!(report.rows.iter().all(|r| !r.panicked));
-    assert!(report.rows.iter().all(|r| r.stats.samples_dropped > 0));
-    assert!(row(Scheme::Baseline).stats.bytes_corrupted > 0);
-    // The ranking orders all five schemes, most robust first.
-    let ranked = report.ranked();
-    assert_eq!(ranked.len(), Scheme::ALL.len());
-    let pos = |s: Scheme| ranked.iter().position(|&x| x == s).expect("ranked");
-    assert!(
-        pos(Scheme::Beam) < pos(Scheme::Com),
-        "BEAM must outrank COM here"
-    );
+    // Ordered by energy ratio: BEAM < Baseline < Batching < COM = BCOM.
+    ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let order: Vec<&str> = ratios.iter().map(|&(_, s)| s).collect();
+    assert_eq!(order, ["beam", "baseline", "batching", "com", "bcom"]);
+    assert_eq!(ratios[3].0, ratios[4].0, "COM and BCOM must tie");
 }
 
 #[test]
