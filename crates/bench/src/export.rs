@@ -95,7 +95,7 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
     for span in result.trace.spans() {
         let exit = span.exit.unwrap_or(span.enter);
         let mut args = format!("\"energy_self_uj\":{:.3}", span.weight);
-        for &(name, value) in &span.fields {
+        for &(name, value) in result.trace.fields(span.fields) {
             let _ = write!(
                 args,
                 ",\"{}\":{}",
@@ -118,7 +118,7 @@ pub fn chrome_trace(result: &RunResult, cal: &Calibration) -> String {
             "\"source\":\"{}\"",
             json_escape(result.trace.label(event.source))
         );
-        for &(name, value) in &event.fields {
+        for &(name, value) in result.trace.fields(event.fields) {
             let _ = write!(
                 args,
                 ",\"{}\":{}",

@@ -411,7 +411,7 @@ impl Scenario {
         // The root span covers the whole run; every tick nests under it.
         let root = exec
             .trace
-            .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run");
+            .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run", &[]);
         engine.run(&mut exec);
 
         // Close out the books at the horizon (or later, if the last task
@@ -427,7 +427,7 @@ impl Scenario {
         // span weights reproduce `ledger.total()` bitwise (see `settle`).
         let close = exec
             .trace
-            .enter_span(end, TraceKind::PowerState, "iotse_core_close");
+            .enter_span(end, TraceKind::PowerState, "iotse_core_close", &[]);
         if exec.trace.is_enabled() {
             let total = exec.ledger.total().as_microjoules();
             let weight = exact_residual(exec.assigned, total);
@@ -582,10 +582,12 @@ fn tick_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, group_idx: u64, wind
 fn storm_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, _a: u64, _b: u64) {
     let now = eng.now();
     let handled = exec.interrupt(now);
-    exec.trace
-        .record_with(handled, TraceKind::Interrupt, "mcu", || {
-            "fault: spurious interrupt".to_string()
-        });
+    exec.trace.record(
+        handled,
+        TraceKind::Interrupt,
+        "mcu",
+        "fault: spurious interrupt",
+    );
     if let Some(plan) = &mut exec.faults {
         plan.note_storm_interrupt();
     }
@@ -744,14 +746,18 @@ impl Exec {
         let sensor_label = g.sensor_label;
         let spec = iotse_sensors::catalog::spec(sensor);
 
-        let tick = self
-            .trace
-            .enter_span(now, TraceKind::SensorRead, "iotse_core_tick");
-        if let Some(lbl) = sensor_label {
-            self.trace.span_field(tick, "sensor", FieldValue::Str(lbl));
-            self.trace
-                .span_field(tick, "window", FieldValue::U64(u64::from(window)));
-        }
+        let tick_fields = sensor_label.map(|lbl| {
+            [
+                ("sensor", FieldValue::Str(lbl)),
+                ("window", FieldValue::U64(u64::from(window))),
+            ]
+        });
+        let tick = self.trace.enter_span(
+            now,
+            TraceKind::SensorRead,
+            "iotse_core_tick",
+            tick_fields.as_ref().map_or(&[][..], |f| f.as_slice()),
+        );
 
         // --- Tasks I–III at the MCU: read, with Task-I retries. The value
         // is latched at the tick's *nominal* instant (`now`): the ADC
@@ -760,7 +766,7 @@ impl Exec {
         // acquisition.
         let collect = self
             .trace
-            .enter_span(now, TraceKind::SensorRead, "iotse_core_collect");
+            .enter_span(now, TraceKind::SensorRead, "iotse_core_collect", &[]);
         // Fault hooks: a compiled plan decides this sampling event's fate
         // and any clock-drift stretch of the read overhead. Both branches
         // collapse to `None`/`ZERO` without a plan — the fault-free path
@@ -965,7 +971,7 @@ impl Exec {
     fn interrupt(&mut self, ready: SimTime) -> SimTime {
         let span = self
             .trace
-            .enter_span(ready, TraceKind::Interrupt, "iotse_core_interrupt");
+            .enter_span(ready, TraceKind::Interrupt, "iotse_core_interrupt", &[]);
         let (_, raise_end) = self.mcu.task(
             &mut self.power,
             &mut self.ledger,
@@ -1002,20 +1008,22 @@ impl Exec {
         let mut wire_bytes = bytes;
         if let Some(plan) = &mut self.faults {
             if let Some(release) = plan.partition_release(ready) {
-                self.trace
-                    .record_with(ready, TraceKind::DataTransfer, "link", || {
-                        // lint: formats only when a trace sink is live
-                        "fault: link partition".to_string()
-                    });
+                self.trace.record(
+                    ready,
+                    TraceKind::DataTransfer,
+                    "link",
+                    "fault: link partition",
+                );
                 ready = release;
             }
             wire_bytes += plan.corrupted_bytes(ready, bytes as u64) as usize;
         }
-        let span = self
-            .trace
-            .enter_span(ready, TraceKind::DataTransfer, "iotse_core_transfer");
-        self.trace
-            .span_field(span, "bytes", FieldValue::U64(bytes as u64));
+        let span = self.trace.enter_span(
+            ready,
+            TraceKind::DataTransfer,
+            "iotse_core_transfer",
+            &[("bytes", FieldValue::U64(bytes as u64))],
+        );
         let dur = self.cal.transfer_time(wire_bytes);
         self.bytes_transferred += bytes as u64;
         if let Some(m) = &mut self.metrics {
@@ -1095,7 +1103,7 @@ impl Exec {
         let compute = self.apps[app].workload.resources().cpu_compute;
         let span = self
             .trace
-            .enter_span(pw.ready, TraceKind::Compute, "iotse_core_compute");
+            .enter_span(pw.ready, TraceKind::Compute, "iotse_core_compute", &[]);
         let (_, end) = self.cpu.task(
             &mut self.power,
             &mut self.ledger,
@@ -1115,7 +1123,7 @@ impl Exec {
         // Flush: one interrupt, one bulk transfer of the whole batch.
         let flush = self
             .trace
-            .enter_span(pw.ready, TraceKind::Scheme, "iotse_core_flush");
+            .enter_span(pw.ready, TraceKind::Scheme, "iotse_core_flush", &[]);
         let int_end = self.interrupt(pw.ready);
         pw.processing.interrupt += self.cal.cpu_interrupt_handling;
         let batch = pw.batch_bytes;
@@ -1134,7 +1142,7 @@ impl Exec {
         let compute = self.apps[app].workload.resources().cpu_compute;
         let span = self
             .trace
-            .enter_span(tx_end, TraceKind::Compute, "iotse_core_compute");
+            .enter_span(tx_end, TraceKind::Compute, "iotse_core_compute", &[]);
         let (_, end) = self.cpu.task(
             &mut self.power,
             &mut self.ledger,
@@ -1155,7 +1163,7 @@ impl Exec {
         let compute = self.apps[app].workload.resources().mcu_compute;
         let span = self
             .trace
-            .enter_span(pw.ready, TraceKind::Compute, "iotse_core_compute");
+            .enter_span(pw.ready, TraceKind::Compute, "iotse_core_compute", &[]);
         let (_, mcu_done) = self.mcu.task(
             &mut self.power,
             &mut self.ledger,
@@ -1293,9 +1301,9 @@ impl Exec {
                 if batch == 0 {
                     continue;
                 }
-                let flush = self
-                    .trace
-                    .enter_span(ready, TraceKind::Scheme, "iotse_core_flush");
+                let flush =
+                    self.trace
+                        .enter_span(ready, TraceKind::Scheme, "iotse_core_flush", &[]);
                 let int_end = self.interrupt(ready);
                 self.mcu_buffer_remove(batch);
                 let tx_end = self.transfer(int_end, batch);

@@ -7,7 +7,6 @@
 //! every stacked bar in Figures 3, 7, 9, 10, 11 and 12 — and the Figure 4
 //! CPU/MCU/physical split — can be read straight out of the ledger.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use iotse_sim::metrics::MetricsRegistry;
@@ -96,7 +95,48 @@ impl fmt::Display for Routine {
     }
 }
 
+/// Number of `(Device, Routine)` cells.
+const CELLS: usize = Device::ALL.len() * Routine::ALL.len();
+
+/// The dense index of a `(Device, Routine)` cell: devices major, routines
+/// minor, each in declaration order — the derived `Ord` order of the
+/// pair, so walking indices upward visits cells in the order a sorted map
+/// of the pairs would.
+#[inline]
+fn cell_index(device: Device, routine: Routine) -> usize {
+    let d = match device {
+        Device::Cpu => 0,
+        Device::Mcu => 1,
+        Device::Link => 2,
+        Device::Sensor => 3,
+    };
+    let r = match routine {
+        Routine::DataCollection => 0,
+        Routine::Interrupt => 1,
+        Routine::DataTransfer => 2,
+        Routine::AppCompute => 3,
+        Routine::Idle => 4,
+    };
+    d * Routine::ALL.len() + r
+}
+
+/// The `(Device, Routine)` pair at dense index `i` (inverse of
+/// [`cell_index`]).
+fn cell_key(i: usize) -> (Device, Routine) {
+    (
+        Device::ALL[i / Routine::ALL.len()],
+        Routine::ALL[i % Routine::ALL.len()],
+    )
+}
+
 /// An accumulating map of energy per `(Device, Routine)`.
+///
+/// The cells are a fixed array indexed by the pair plus a mask of the
+/// cells ever charged, so charging is one add and one bit-set. Every
+/// reader walks the charged cells in `(Device, Routine)` order, so each
+/// sum adds the same values in the same order as a sorted map would, and
+/// `Debug` prints the charged cells as a `{(device, routine): energy}`
+/// map.
 ///
 /// # Examples
 ///
@@ -110,9 +150,12 @@ impl fmt::Display for Routine {
 /// assert_eq!(ledger.routine_total(Routine::Interrupt).as_millijoules(), 240.0);
 /// assert_eq!(ledger.total().as_millijoules(), 1200.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct EnergyLedger {
-    cells: BTreeMap<(Device, Routine), Energy>,
+    /// Energy per cell, at [`cell_index`]; uncharged cells hold zero.
+    cells: [Energy; CELLS],
+    /// Bit `i` is set once cell `i` has been charged (even with zero).
+    touched: u32,
 }
 
 impl EnergyLedger {
@@ -127,47 +170,46 @@ impl EnergyLedger {
     /// # Panics
     ///
     /// Panics if `energy` is negative — energy only ever accumulates.
+    #[inline]
     pub fn charge(&mut self, device: Device, routine: Routine, energy: Energy) {
         assert!(
             energy.as_microjoules() >= 0.0,
             "cannot charge negative energy ({energy}) to {device}/{routine}"
         );
-        *self.cells.entry((device, routine)).or_insert(Energy::ZERO) += energy;
+        let i = cell_index(device, routine);
+        self.cells[i] += energy;
+        self.touched |= 1 << i;
     }
 
     /// Energy in one cell.
+    #[inline]
     #[must_use]
     pub fn cell(&self, device: Device, routine: Routine) -> Energy {
-        self.cells
-            .get(&(device, routine))
-            .copied()
-            .unwrap_or(Energy::ZERO)
+        self.cells[cell_index(device, routine)]
     }
 
     /// Total energy attributed to `routine` across all devices.
     #[must_use]
     pub fn routine_total(&self, routine: Routine) -> Energy {
-        self.cells
-            .iter()
-            .filter(|((_, r), _)| *r == routine)
-            .map(|(_, &e)| e)
+        self.iter()
+            .filter(|&(_, r, _)| r == routine)
+            .map(|(_, _, e)| e)
             .sum()
     }
 
     /// Total energy spent by `device` across all routines.
     #[must_use]
     pub fn device_total(&self, device: Device) -> Energy {
-        self.cells
-            .iter()
-            .filter(|((d, _), _)| *d == device)
-            .map(|(_, &e)| e)
+        self.iter()
+            .filter(|&(d, _, _)| d == device)
+            .map(|(_, _, e)| e)
             .sum()
     }
 
     /// Grand total over every cell.
     #[must_use]
     pub fn total(&self) -> Energy {
-        self.cells.values().copied().sum()
+        self.iter().map(|(_, _, e)| e).sum()
     }
 
     /// Total over the four workload routines (excludes [`Routine::Idle`]).
@@ -181,8 +223,8 @@ impl EnergyLedger {
 
     /// Adds every cell of `other` into this ledger.
     pub fn merge(&mut self, other: &EnergyLedger) {
-        for (&key, &e) in &other.cells {
-            *self.cells.entry(key).or_insert(Energy::ZERO) += e;
+        for (d, r, e) in other.iter() {
+            self.charge(d, r, e);
         }
     }
 
@@ -197,9 +239,16 @@ impl EnergyLedger {
         }
     }
 
-    /// Iterates over the non-zero cells in deterministic order.
+    /// Iterates over the charged cells in `(Device, Routine)` order.
     pub fn iter(&self) -> impl Iterator<Item = (Device, Routine, Energy)> + '_ {
-        self.cells.iter().map(|(&(d, r), &e)| (d, r, e))
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.touched & (1 << i) != 0)
+            .map(|(i, &e)| {
+                let (d, r) = cell_key(i);
+                (d, r, e)
+            })
     }
 
     /// Publishes the ledger as `iotse_energy_*` gauges (microjoules): the
@@ -230,6 +279,23 @@ impl EnergyLedger {
             let g = reg.gauge(name);
             reg.set_gauge(g, self.routine_total(routine).as_microjoules());
         }
+    }
+}
+
+/// Prints the charged cells as a `{(device, routine): energy}` map.
+impl fmt::Debug for EnergyLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Cells<'a>(&'a EnergyLedger);
+        impl fmt::Debug for Cells<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(d, r, e)| ((d, r), e)))
+                    .finish()
+            }
+        }
+        f.debug_struct("EnergyLedger")
+            .field("cells", &Cells(self))
+            .finish()
     }
 }
 

@@ -193,20 +193,22 @@ mod tests {
 
     fn sample_trace() -> TraceLog {
         let mut log = TraceLog::enabled();
-        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_energy_run");
-        let a = log.enter_span(SimTime::ZERO, TraceKind::Compute, "iotse_energy_a");
+        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_energy_run", &[]);
+        let a = log.enter_span(SimTime::ZERO, TraceKind::Compute, "iotse_energy_a", &[]);
         log.charge_span(a, 10.0);
         log.exit_span(a, SimTime::from_millis(1));
         let b = log.enter_span(
             SimTime::from_millis(1),
             TraceKind::Compute,
             "iotse_energy_b",
+            &[],
         );
         log.charge_span(b, 2.5);
         let leaf = log.enter_span(
             SimTime::from_millis(1),
             TraceKind::DataTransfer,
             "iotse_energy_a",
+            &[],
         );
         log.charge_span(leaf, 0.5);
         log.exit_span(leaf, SimTime::from_millis(2));

@@ -184,9 +184,22 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Serializes the tests that read or clear the process-wide shelf and
+    /// its counters: `cargo test` runs tests on parallel threads, and an
+    /// overflow clear racing a hit check reads as a miss. A panicking test
+    /// poisons the lock without leaving shared state half-updated, so the
+    /// guard is recovered rather than cascading the failure.
+    static SHELF_TESTS: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> MutexGuard<'static, ()> {
+        SHELF_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn second_lookup_is_a_hit() {
+        let _guard = exclusive();
         let a = memoized("test/hit", 0xAA, 1, || vec![1u32, 2, 3]);
         let (_, m0) = stats();
         let b = memoized("test/hit", 0xAA, 1, || vec![9u32, 9, 9]);
@@ -198,6 +211,7 @@ mod tests {
 
     #[test]
     fn keys_separate_by_domain_seed_and_config() {
+        let _guard = exclusive();
         let base = memoized("test/key", 1, 1, || 10u64);
         assert_eq!(*memoized("test/key", 1, 1, || 99u64), 10);
         assert_eq!(*memoized("test/key2", 1, 1, || 20u64), 20);
@@ -263,6 +277,7 @@ mod tests {
 
     #[test]
     fn overflow_clears_rather_than_grows() {
+        let _guard = exclusive();
         clear();
         for i in 0..(MAX_ENTRIES as u64 + 10) {
             let _ = memoized("test/overflow", i, 0, || i);
@@ -273,6 +288,7 @@ mod tests {
 
     #[test]
     fn concurrent_cold_lookups_agree() {
+        let _guard = exclusive();
         let results: Vec<Arc<Vec<u8>>> = std::thread::scope(|s| {
             (0..8)
                 .map(|_| s.spawn(|| memoized("test/race", 0xBEEF, 7, || vec![42u8; 1000])))

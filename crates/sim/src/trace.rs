@@ -8,25 +8,35 @@
 //! log to regenerate the paper's Figure 5 timelines, the flamegraph fold
 //! reads span weights, and tests assert exact event sequences.
 //!
-//! Three design rules keep the hot path honest:
+//! Four design rules keep the hot path honest:
 //!
 //! 1. **Zero cost when disabled.** Every recording method checks
 //!    `enabled` before doing *any* work — no interning, no allocation, no
 //!    formatting. Callers pass `&'static str` labels and stack-allocated
 //!    field slices, so a disabled log costs one branch per call.
-//! 2. **No per-entry heap formatting when enabled.** Labels and field names
-//!    are interned once into a [`Label`] table; values are typed
-//!    [`FieldValue`]s, not preformatted `String`s. Rendering happens only
-//!    at export time.
-//! 3. **Determinism.** The log is plain data driven by the simulation
-//!    clock; two identical runs produce bitwise-identical logs.
+//! 2. **No per-entry heap allocation when enabled.** Labels, field names
+//!    and free-text details are interned once per distinct string into a
+//!    label table (one shared allocation per string, looked up through a
+//!    fixed FNV-1a hash). Values are typed [`FieldValue`]s, not
+//!    preformatted `String`s; rendering happens only at export time.
+//! 3. **Compact records.** A [`Span`] or [`TraceEvent`] holds its fields
+//!    as a [`Fields`] range into one arena the log owns, so every record
+//!    is a small fixed-size value and recording appends to three `Vec`s
+//!    whose growth is amortized. The open-span stack is a cursor that
+//!    walks back along `parent` links on exit.
+//! 4. **Determinism.** The log is plain data driven by the simulation
+//!    clock; label ids follow first-seen order and the hash is fixed, so
+//!    two identical runs produce bitwise-identical logs.
 //!
 //! The free-text `record(time, kind, source, detail)` API records a
 //! [`TraceEvent`] whose detail string is interned as a single `msg` field;
 //! [`TraceLog::detail`] renders it back.
 
-use std::collections::BTreeMap;
+// iotse-lint: allow(IOTSE-D02) label lookup only; ids and order come from `LabelTable::strings`
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::time::SimTime;
 
@@ -121,106 +131,12 @@ impl FieldValue {
     }
 }
 
-/// Inline capacity of a [`FieldList`]. The widest field set any recorder
-/// attaches (the QoS event's result/window/deadline triple) fits here, so
-/// steady-state tracing allocates for label interning only — once per
-/// distinct string, never per span or event.
-const FIELDS_INLINE: usize = 3;
-
-/// Padding for unused inline slots (the disabled-intern sentinel label).
-const FIELD_PAD: (Label, FieldValue) = (Label(u32::MAX), FieldValue::U64(0));
-
-/// A span/event field list with inline storage for up to [`FIELDS_INLINE`]
-/// pairs; longer lists spill to the heap. Dereferences to a
-/// `[(Label, FieldValue)]` slice, so consumers iterate and index it like
-/// the `Vec` it replaced.
-#[derive(Debug, Clone)]
-pub struct FieldList(FieldStore);
-
-#[derive(Debug, Clone)]
-enum FieldStore {
-    /// `len` live pairs; slots past `len` hold [`FIELD_PAD`].
-    Inline {
-        len: u8,
-        buf: [(Label, FieldValue); FIELDS_INLINE],
-    },
-    /// Spilled storage for lists longer than [`FIELDS_INLINE`].
-    Heap(Vec<(Label, FieldValue)>),
-}
-
-impl FieldList {
-    /// An empty list (allocation-free).
-    #[must_use]
-    pub fn new() -> Self {
-        FieldList(FieldStore::Inline {
-            len: 0,
-            buf: [FIELD_PAD; FIELDS_INLINE],
-        })
-    }
-
-    /// Appends a pair, spilling to the heap past the inline capacity.
-    pub fn push(&mut self, pair: (Label, FieldValue)) {
-        match &mut self.0 {
-            FieldStore::Inline { len, buf } => {
-                if (*len as usize) < FIELDS_INLINE {
-                    buf[*len as usize] = pair;
-                    *len += 1;
-                } else {
-                    // lint: cold spill past the inline capacity (> FIELDS_INLINE pairs)
-                    let mut spilled = buf.to_vec();
-                    spilled.push(pair);
-                    self.0 = FieldStore::Heap(spilled);
-                }
-            }
-            FieldStore::Heap(v) => v.push(pair),
-        }
-    }
-
-    /// The live pairs as a slice.
-    #[must_use]
-    pub fn as_slice(&self) -> &[(Label, FieldValue)] {
-        match &self.0 {
-            FieldStore::Inline { len, buf } => &buf[..*len as usize],
-            FieldStore::Heap(v) => v,
-        }
-    }
-}
-
-impl Default for FieldList {
-    fn default() -> Self {
-        FieldList::new()
-    }
-}
-
-impl std::ops::Deref for FieldList {
-    type Target = [(Label, FieldValue)];
-    fn deref(&self) -> &Self::Target {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for FieldList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl FromIterator<(Label, FieldValue)> for FieldList {
-    fn from_iter<I: IntoIterator<Item = (Label, FieldValue)>>(iter: I) -> Self {
-        let mut list = FieldList::new();
-        for pair in iter {
-            list.push(pair);
-        }
-        list
-    }
-}
-
-impl<'a> IntoIterator for &'a FieldList {
-    type Item = &'a (Label, FieldValue);
-    type IntoIter = std::slice::Iter<'a, (Label, FieldValue)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
+/// The fields of one span or event: a range of the log's field arena,
+/// read back with [`TraceLog::fields`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Fields {
+    start: u32,
+    len: u32,
 }
 
 /// One node of the span tree.
@@ -240,8 +156,8 @@ pub struct Span {
     /// charges **microjoules** of ledger energy here, so folding weights up
     /// the tree reproduces `EnergyLedger::total()` exactly.
     pub weight: f64,
-    /// Typed key/value attachments.
-    pub fields: FieldList,
+    /// Typed key/value attachments (see [`TraceLog::fields`]).
+    pub fields: Fields,
 }
 
 /// One point-in-time event, attached to the innermost open span.
@@ -255,8 +171,8 @@ pub struct TraceEvent {
     pub span: Option<SpanId>,
     /// Which component reported it (interned; e.g. `"mcu"`, `"link"`).
     pub source: Label,
-    /// Typed key/value attachments.
-    pub fields: FieldList,
+    /// Typed key/value attachments (see [`TraceLog::fields`]).
+    pub fields: Fields,
 }
 
 /// Aggregate shape of a recorded span tree — cheap to compare and to carry
@@ -273,11 +189,38 @@ pub struct SpanSummary {
     pub total_weight: f64,
 }
 
-/// The interned-string table.
+/// FNV-1a 64: the label index's hasher. Fixed rather than randomly
+/// seeded, so the table's layout — which `Debug` prints — is the same in
+/// every process; label strings come from the program, never from
+/// outside input.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// The interned-string table: ids in first-seen order, each string
+/// allocated once and shared by the id list and the lookup index.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct LabelTable {
-    strings: Vec<String>,
-    index: BTreeMap<String, u32>,
+    strings: Vec<Arc<str>>,
+    // iotse-lint: allow(IOTSE-D02) lookup only: ids come from `strings`; the fixed hash keeps even Debug's walk run-independent
+    index: HashMap<Arc<str>, u32, BuildHasherDefault<Fnv1a>>,
 }
 
 impl LabelTable {
@@ -287,16 +230,16 @@ impl LabelTable {
         }
         let i = self.strings.len() as u32;
         // lint: interning allocates once per distinct label, then hits the map
-        self.strings.push(s.to_string());
-        // lint: second owned copy keys the lookup map, same once-per-label cost
-        self.index.insert(s.to_string(), i);
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&shared));
+        self.index.insert(shared, i);
         Label(i)
     }
 
     fn resolve(&self, label: Label) -> &str {
         self.strings
             .get(label.0 as usize)
-            .map_or("<unknown-label>", String::as_str)
+            .map_or("<unknown-label>", |s| &**s)
     }
 }
 
@@ -312,7 +255,12 @@ impl LabelTable {
 /// use iotse_sim::time::SimTime;
 ///
 /// let mut log = TraceLog::enabled();
-/// let run = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_example");
+/// let run = log.enter_span(
+///     SimTime::ZERO,
+///     TraceKind::Scheme,
+///     "iotse_sim_example",
+///     &[("window", FieldValue::U64(0))],
+/// );
 /// log.event(
 ///     SimTime::from_millis(1),
 ///     TraceKind::Interrupt,
@@ -322,6 +270,8 @@ impl LabelTable {
 /// log.charge_span(run, 42.0);
 /// log.exit_span(run, SimTime::from_millis(2));
 /// assert_eq!(log.spans().len(), 1);
+/// let window = log.intern("window");
+/// assert_eq!(log.fields(log.spans()[0].fields), &[(window, FieldValue::U64(0))]);
 /// assert_eq!(log.events().len(), 1);
 /// assert_eq!(log.count(TraceKind::Interrupt), 1);
 /// ```
@@ -331,8 +281,10 @@ pub struct TraceLog {
     labels: LabelTable,
     spans: Vec<Span>,
     events: Vec<TraceEvent>,
-    /// Stack of currently-open spans (indices into `spans`).
-    open: Vec<SpanId>,
+    /// The arena every [`Fields`] range indexes.
+    fields: Vec<(Label, FieldValue)>,
+    /// The innermost open span; exiting it moves back to its parent.
+    cursor: Option<SpanId>,
 }
 
 impl TraceLog {
@@ -370,25 +322,32 @@ impl TraceLog {
 
     // ------------------------------------------------------------ spans --
 
-    /// Opens a span named `label` at `time`, nested under the innermost
-    /// open span. Returns [`SpanId::DISABLED`] (on which every operation is
-    /// a no-op) when the log is disabled.
-    pub fn enter_span(&mut self, time: SimTime, kind: TraceKind, label: &str) -> SpanId {
+    /// Opens a span named `label` at `time` with `fields` attached,
+    /// nested under the innermost open span. Returns [`SpanId::DISABLED`]
+    /// (on which every operation is a no-op) when the log is disabled.
+    pub fn enter_span(
+        &mut self,
+        time: SimTime,
+        kind: TraceKind,
+        label: &str,
+        fields: &[(&str, FieldValue)],
+    ) -> SpanId {
         if !self.enabled {
             return SpanId::DISABLED;
         }
         let label = self.labels.intern(label);
+        let fields = self.push_fields(fields);
         let id = SpanId(self.spans.len() as u32);
         self.spans.push(Span {
-            parent: self.open.last().copied(),
+            parent: self.cursor,
             kind,
             label,
             enter: time,
             exit: None,
             weight: 0.0,
-            fields: FieldList::new(),
+            fields,
         });
-        self.open.push(id);
+        self.cursor = Some(id);
         id
     }
 
@@ -404,11 +363,10 @@ impl TraceLog {
             return;
         }
         assert!(
-            self.open.last() == Some(&id),
+            self.cursor == Some(id),
             "spans must exit LIFO (exiting {id:?}, innermost is {:?})",
-            self.open.last()
+            self.cursor
         );
-        self.open.pop();
         let span = &mut self.spans[id.0 as usize];
         assert!(
             time >= span.enter,
@@ -416,6 +374,7 @@ impl TraceLog {
             span.enter
         );
         span.exit = Some(time);
+        self.cursor = span.parent;
     }
 
     /// Adds `weight` to span `id` (the executor charges microjoules of
@@ -430,15 +389,6 @@ impl TraceLog {
         }
         assert!(weight >= 0.0, "span weight must be non-negative ({weight})");
         self.spans[id.0 as usize].weight += weight;
-    }
-
-    /// Attaches a typed field to span `id`. No-op when disabled.
-    pub fn span_field(&mut self, id: SpanId, name: &str, value: FieldValue) {
-        if !self.enabled || id == SpanId::DISABLED {
-            return;
-        }
-        let name = self.labels.intern(name);
-        self.spans[id.0 as usize].fields.push((name, value));
     }
 
     /// Interns `s` for use in a [`FieldValue::Str`]. Returns a throwaway
@@ -459,7 +409,38 @@ impl TraceLog {
     /// The innermost currently-open span, if any.
     #[must_use]
     pub fn current_span(&self) -> Option<SpanId> {
-        self.open.last().copied()
+        self.cursor
+    }
+
+    /// The fields of a span or event, as `(name, value)` pairs in the
+    /// order they were recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fields` did not come from this log's current spans or
+    /// events (a range recorded before [`TraceLog::clear`] is stale).
+    #[must_use]
+    pub fn fields(&self, fields: Fields) -> &[(Label, FieldValue)] {
+        let start = fields.start as usize;
+        &self.fields[start..start + fields.len as usize]
+    }
+
+    /// Interns `fields`' names and appends the pairs to the arena.
+    fn push_fields(&mut self, fields: &[(&str, FieldValue)]) -> Fields {
+        let start = self.fields.len();
+        for &(name, value) in fields {
+            let name = self.labels.intern(name);
+            self.fields.push((name, value));
+        }
+        // Both casts below are lossless once the whole arena fits in u32.
+        assert!(
+            u32::try_from(self.fields.len()).is_ok(),
+            "trace field arena outgrew u32 ranges"
+        );
+        Fields {
+            start: start as u32,
+            len: fields.len() as u32,
+        }
     }
 
     /// Nesting depth of span `id` (a root has depth 1).
@@ -521,37 +502,25 @@ impl TraceLog {
             return;
         }
         let source = self.labels.intern(source);
-        let fields: FieldList = fields
-            .iter()
-            .map(|&(name, value)| (self.labels.intern(name), value))
-            // lint: runs only when a trace sink is enabled (early return above)
-            .collect();
+        let fields = self.push_fields(fields);
         self.events.push(TraceEvent {
             time,
             kind,
-            span: self.open.last().copied(),
+            span: self.cursor,
             source,
             fields,
         });
     }
 
-    /// Records a free-text entry if enabled. The detail
-    /// string still allocates when enabled; hot paths should prefer
-    /// [`TraceLog::event`] (typed fields) or [`TraceLog::record_with`]
-    /// (lazy detail).
-    pub fn record(
-        &mut self,
-        time: SimTime,
-        kind: TraceKind,
-        source: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
+    /// Records a free-text entry if enabled. Allocates only the first
+    /// time a `source` or `detail` string is seen; use
+    /// [`TraceLog::record_with`] when the detail must be formatted.
+    pub fn record(&mut self, time: SimTime, kind: TraceKind, source: &str, detail: &str) {
         if !self.enabled {
             return;
         }
-        let detail: String = detail.into();
-        let detail = self.labels.intern(&detail);
-        self.event_with_msg(time, kind, &source.into(), detail);
+        let detail = self.labels.intern(detail);
+        self.event_with_msg(time, kind, source, detail);
     }
 
     /// Records an entry whose detail is built only when the log is enabled
@@ -572,17 +541,7 @@ impl TraceLog {
     }
 
     fn event_with_msg(&mut self, time: SimTime, kind: TraceKind, source: &str, msg: Label) {
-        let source = self.labels.intern(source);
-        let name = self.labels.intern("msg");
-        let mut fields = FieldList::new();
-        fields.push((name, FieldValue::Str(msg)));
-        self.events.push(TraceEvent {
-            time,
-            kind,
-            span: self.open.last().copied(),
-            source,
-            fields,
-        });
+        self.event(time, kind, source, &[("msg", FieldValue::Str(msg))]);
     }
 
     /// The recorded events, in recording order (which is time order within
@@ -597,7 +556,7 @@ impl TraceLog {
     /// otherwise.
     #[must_use]
     pub fn detail(&self, event: &TraceEvent) -> String {
-        match event.fields.as_slice() {
+        match self.fields(event.fields) {
             [(name, FieldValue::Str(msg))] if self.labels.resolve(*name) == "msg" => {
                 self.labels.resolve(*msg).to_string()
             }
@@ -627,11 +586,13 @@ impl TraceLog {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Drops all spans, events and the open stack (labels stay interned).
+    /// Drops all spans, events, fields and open spans (labels stay
+    /// interned).
     pub fn clear(&mut self) {
         self.spans.clear();
         self.events.clear();
-        self.open.clear();
+        self.fields.clear();
+        self.cursor = None;
     }
 }
 
@@ -649,7 +610,7 @@ mod tests {
             "cpu",
             &[("n", FieldValue::U64(1))],
         );
-        let span = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_test");
+        let span = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_test", &[]);
         assert_eq!(span, SpanId::DISABLED);
         log.charge_span(span, 5.0);
         log.exit_span(span, SimTime::from_millis(1));
@@ -717,11 +678,12 @@ mod tests {
     #[test]
     fn spans_nest_and_carry_weight() {
         let mut log = TraceLog::enabled();
-        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_root");
+        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_root", &[]);
         let child = log.enter_span(
             SimTime::from_millis(1),
             TraceKind::Compute,
             "iotse_sim_leaf",
+            &[],
         );
         log.charge_span(child, 2.5);
         log.charge_span(child, 0.5);
@@ -746,7 +708,7 @@ mod tests {
     fn events_attach_to_the_innermost_open_span() {
         let mut log = TraceLog::enabled();
         log.event(SimTime::ZERO, TraceKind::Qos, "exec", &[]);
-        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_root");
+        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_root", &[]);
         log.event(
             SimTime::from_millis(1),
             TraceKind::DataTransfer,
@@ -763,25 +725,139 @@ mod tests {
     }
 
     #[test]
-    fn field_lists_hold_inline_then_spill() {
+    fn fields_round_trip_through_the_arena() {
         let mut log = TraceLog::enabled();
-        let span = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_wide");
-        for i in 0..5u64 {
-            log.span_field(span, "k", FieldValue::U64(i));
-        }
+        let window = log.intern("iotse_sim_window_name");
+        let root = log.enter_span(
+            SimTime::ZERO,
+            TraceKind::Scheme,
+            "iotse_sim_root",
+            &[
+                ("sensor", FieldValue::Str(window)),
+                ("window", FieldValue::U64(3)),
+            ],
+        );
+        log.event(
+            SimTime::from_millis(1),
+            TraceKind::DataTransfer,
+            "link",
+            &[
+                ("bytes", FieldValue::U64(2400)),
+                ("delta", FieldValue::I64(-7)),
+                ("at", FieldValue::Time(SimTime::from_millis(1))),
+            ],
+        );
+        let bare = log.enter_span(SimTime::ZERO, TraceKind::Compute, "iotse_sim_leaf", &[]);
+        log.exit_span(bare, SimTime::from_millis(2));
+        log.exit_span(root, SimTime::from_millis(2));
+        let named = |fields: Fields| -> Vec<(String, FieldValue)> {
+            log.fields(fields)
+                .iter()
+                .map(|&(name, value)| (log.label(name).to_string(), value))
+                .collect()
+        };
+        assert_eq!(
+            named(log.spans()[0].fields),
+            vec![
+                ("sensor".to_string(), FieldValue::Str(window)),
+                ("window".to_string(), FieldValue::U64(3)),
+            ]
+        );
+        assert_eq!(
+            named(log.events()[0].fields),
+            vec![
+                ("bytes".to_string(), FieldValue::U64(2400)),
+                ("delta".to_string(), FieldValue::I64(-7)),
+                ("at".to_string(), FieldValue::Time(SimTime::from_millis(1))),
+            ]
+        );
+        assert!(log.fields(log.spans()[1].fields).is_empty());
+        assert_eq!(log.detail(&log.events()[0]), "bytes=2400 delta=-7 at=t+1ms");
+    }
+
+    #[test]
+    fn label_ids_follow_first_seen_order_for_owned_and_literal_text() {
+        let mut log = TraceLog::enabled();
+        let owned = String::from("iotse_sim_first");
+        let first = log.intern(&owned);
+        let second = log.intern("iotse_sim_second");
+        assert_eq!(log.intern("iotse_sim_first"), first);
+        assert_eq!(log.intern(&String::from("iotse_sim_second")), second);
+        let third = log.intern(&format!("iotse_sim_{}", "third"));
+        assert_eq!((first, second, third), (Label(0), Label(1), Label(2)));
+        assert_eq!(log.label(third), "iotse_sim_third");
+        // Span labels and field names share the table, in the order seen.
+        let span = log.enter_span(
+            SimTime::ZERO,
+            TraceKind::Scheme,
+            "iotse_sim_span",
+            &[
+                ("iotse_sim_first", FieldValue::U64(0)),
+                ("fresh", FieldValue::U64(1)),
+            ],
+        );
         log.exit_span(span, SimTime::ZERO);
+        assert_eq!(log.spans()[0].label, Label(3));
+        let names: Vec<Label> = log
+            .fields(log.spans()[0].fields)
+            .iter()
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(names, vec![first, Label(4)]);
+    }
+
+    #[test]
+    fn clear_empties_the_field_arena() {
+        let mut log = TraceLog::enabled();
+        let s = log.enter_span(
+            SimTime::ZERO,
+            TraceKind::Scheme,
+            "iotse_sim_s",
+            &[("k", FieldValue::U64(1))],
+        );
+        log.event(
+            SimTime::ZERO,
+            TraceKind::Qos,
+            "exec",
+            &[("k", FieldValue::U64(2))],
+        );
+        log.exit_span(s, SimTime::ZERO);
+        log.clear();
+        assert!(log.fields.is_empty());
+        assert_eq!(log.current_span(), None);
+        // Ranges recorded after a clear index the fresh arena.
+        log.event(
+            SimTime::ZERO,
+            TraceKind::Qos,
+            "exec",
+            &[("k", FieldValue::U64(3))],
+        );
         let k = log.intern("k");
-        let fields = &log.spans()[0].fields;
-        assert_eq!(fields.len(), 5);
-        for (i, &(name, value)) in fields.iter().enumerate() {
-            assert_eq!(name, k);
-            assert_eq!(value, FieldValue::U64(i as u64));
-        }
-        // Equality is by contents, inline or spilled.
-        let a: FieldList = (0..2u64).map(|i| (k, FieldValue::U64(i))).collect();
-        let b: FieldList = (0..2u64).map(|i| (k, FieldValue::U64(i))).collect();
-        assert_eq!(a, b);
-        assert_ne!(a, FieldList::new());
+        assert_eq!(
+            log.fields(log.events()[0].fields),
+            &[(k, FieldValue::U64(3))]
+        );
+    }
+
+    #[test]
+    fn exiting_moves_the_cursor_back_to_the_parent() {
+        let mut log = TraceLog::enabled();
+        let root = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_root", &[]);
+        let a = log.enter_span(SimTime::ZERO, TraceKind::Compute, "iotse_sim_a", &[]);
+        assert_eq!(log.current_span(), Some(a));
+        log.exit_span(a, SimTime::ZERO);
+        assert_eq!(log.current_span(), Some(root));
+        let b = log.enter_span(SimTime::ZERO, TraceKind::Compute, "iotse_sim_b", &[]);
+        assert_eq!(log.spans()[b.index().unwrap()].parent, Some(root));
+        log.exit_span(b, SimTime::ZERO);
+        log.exit_span(root, SimTime::ZERO);
+        assert_eq!(log.current_span(), None);
+    }
+
+    #[test]
+    fn records_are_compact() {
+        assert_eq!(std::mem::size_of::<Span>(), 56);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
     }
 
     #[test]
@@ -797,8 +873,8 @@ mod tests {
     #[should_panic(expected = "LIFO")]
     fn out_of_order_exit_panics() {
         let mut log = TraceLog::enabled();
-        let a = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_a");
-        let _b = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_b");
+        let a = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_a", &[]);
+        let _b = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_b", &[]);
         log.exit_span(a, SimTime::from_millis(1));
     }
 
@@ -806,7 +882,12 @@ mod tests {
     #[should_panic(expected = "precedes enter")]
     fn backwards_exit_panics() {
         let mut log = TraceLog::enabled();
-        let a = log.enter_span(SimTime::from_millis(5), TraceKind::Scheme, "iotse_sim_a");
+        let a = log.enter_span(
+            SimTime::from_millis(5),
+            TraceKind::Scheme,
+            "iotse_sim_a",
+            &[],
+        );
         log.exit_span(a, SimTime::from_millis(1));
     }
 
@@ -829,7 +910,7 @@ mod tests {
     #[test]
     fn clear_drops_data_but_keeps_enablement() {
         let mut log = TraceLog::enabled();
-        let s = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_s");
+        let s = log.enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_sim_s", &[]);
         log.exit_span(s, SimTime::ZERO);
         log.record(SimTime::ZERO, TraceKind::Qos, "exec", "x");
         log.clear();

@@ -2,30 +2,48 @@
 //!
 //! The timer-wheel event queue replaced the binary heap on the engine's
 //! hot path. Its contract is that nothing observable changes: every case
-//! below requires the FNV-1a-64 digest of the complete `Debug` rendering
-//! of a `RunResult` (ledgers, stats, counters, traces, telemetry) to equal
-//! a pin captured from the binary-heap engine — across every scheme, at
-//! every fleet jobs level, and under the configurations that stress the
-//! queue hardest: dense fault storms and telemetry-on runs.
+//! below requires the FNV-1a-64 digest of a `RunResult` (ledgers, stats,
+//! counters, traces, telemetry) to equal a pin tied to the binary-heap
+//! engine — across every scheme, at every fleet jobs level, and under the
+//! configurations that stress the queue hardest: dense fault storms and
+//! telemetry-on runs.
 //!
-//! The pins were captured while the executor could still be switched onto
-//! the heap (a `Scenario` option since removed): these same cases asserted
-//! both engines against them before the heap left the runtime.
+//! The digest covers two parts. The first is the `Debug` rendering of
+//! every `RunResult` field except `trace` (the last field, cut off the
+//! rendering). The second is the trace as its public API reads it back:
+//! every span's label string, kind, parent index, enter, exit, weight
+//! bits and resolved fields, then every event's source string, kind,
+//! span index, time and resolved fields. Storage layout (label ids, field
+//! arenas, hash-table order) stays out of the digest, so a change to how
+//! the trace stores what it records cannot move a pin, while any change
+//! to what it records does.
+//!
+//! The chain of evidence for the pins:
+//!
+//! 1. The first pins hashed the whole `Debug` rendering of `RunResult`.
+//!    They were captured while the executor could still be switched onto
+//!    the heap (a `Scenario` option since removed), and these same cases
+//!    asserted both engines against them before the heap left the
+//!    runtime.
+//! 2. The current pins were derived on a checkout of the last commit that
+//!    still carried the first pins, in one run that asserted the first
+//!    pin and computed this digest of the same `RunResult` for every
+//!    case. The derivation code differed from the functions below only in
+//!    the field accessor (the fields were then stored inline in each span
+//!    and event). Each current pin therefore digests a `RunResult` already
+//!    shown equal to the heap engine's.
+//!
 //! The queue-level oracle, `iotse_sim::queue::ReferenceQueue`, lives on in
 //! the property suite (`tests/properties.rs`). `Debug` output can change
 //! across Rust releases; if a toolchain bump moves every pin at once,
-//! re-derive them from the parent commit's heap path, never from the
-//! wheel.
-//!
-//! `Debug` is derived for every type inside `RunResult`, so the rendering
-//! prints every field `PartialEq` compares (the one hand-written
-//! `PartialEq`, `FieldList`'s, compares the live prefix of a store whose
-//! `Debug` prints all of it). Equal digests therefore imply equal results.
+//! re-derive them from a commit whose pins still hold, never from a
+//! changed engine.
 
 use std::fmt::Write as _;
 
 use iotse::core::scenario_spec::demo_scripts;
 use iotse::prelude::*;
+use iotse::sim::trace::{FieldValue, Label, SpanId, TraceLog};
 
 /// Every scheme, with an app mix that exercises per-sample, batched, and
 /// offloaded flows.
@@ -57,43 +75,94 @@ impl std::fmt::Write for Fnv1a {
     }
 }
 
-/// The digest of `result`'s full `Debug` rendering.
+/// The digest of `result`: the `Debug` rendering of every field but the
+/// trace, then the trace through its public API (see the module doc).
 fn digest(result: &RunResult) -> u64 {
     let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
-    write!(h, "{result:?}").expect("hashing cannot fail");
+    let bare = RunResult {
+        trace: TraceLog::disabled(),
+        ..result.clone()
+    };
+    let text = format!("{bare:?}");
+    let tail = format!(", trace: {:?} }}", TraceLog::disabled());
+    let head = text
+        .strip_suffix(&tail)
+        .expect("`trace` is the last field of RunResult");
+    h.write_str(head).expect("hashing cannot fail");
+    let t = &result.trace;
+    write!(h, "\ntrace enabled={}\n", t.is_enabled()).expect("hashing cannot fail");
+    for s in t.spans() {
+        write!(
+            h,
+            "span {} {:?} {:?} {:?} {:?} {:016x}",
+            t.label(s.label),
+            s.kind,
+            s.parent.and_then(SpanId::index),
+            s.enter,
+            s.exit,
+            s.weight.to_bits()
+        )
+        .expect("hashing cannot fail");
+        write_fields(&mut h, t, t.fields(s.fields));
+    }
+    for e in t.events() {
+        write!(
+            h,
+            "event {} {:?} {:?} {:?}",
+            t.label(e.source),
+            e.kind,
+            e.span.and_then(SpanId::index),
+            e.time
+        )
+        .expect("hashing cannot fail");
+        write_fields(&mut h, t, t.fields(e.fields));
+    }
     h.0
 }
 
-/// Pins captured from the binary-heap engine, in [`matrix`] order.
+/// One line of ` name=value` pairs, interned strings resolved.
+fn write_fields(h: &mut Fnv1a, t: &TraceLog, fields: &[(Label, FieldValue)]) {
+    for &(name, value) in fields {
+        match value {
+            FieldValue::Str(s) => write!(h, " {}=str:{}", t.label(name), t.label(s)),
+            other => write!(h, " {}={other:?}", t.label(name)),
+        }
+        .expect("hashing cannot fail");
+    }
+    h.write_str("\n").expect("hashing cannot fail");
+}
+
+/// Pins tied to the binary-heap engine (see the module doc), in [`matrix`]
+/// order.
 const CLEAN_PINS: [u64; 5] = [
-    0xc795_d321_4d61_3ba4,
-    0x393f_7109_a747_380e,
-    0x82ed_1519_3537_de7e,
-    0x0aee_88d8_ffd3_4c18,
-    0x6d31_170e_e744_ca82,
+    0x32f7_2f0e_7c90_44d6,
+    0xbf2a_2e4d_cb76_91a0,
+    0xdbaa_36a8_d0f8_75f0,
+    0x79e8_9a60_f39b_f9b2,
+    0x96ef_fded_3c22_3bac,
 ];
 /// As [`CLEAN_PINS`], under the demo fault scripts.
 const STORM_PINS: [u64; 5] = [
-    0x0b62_5f5b_15db_f394,
-    0x9c5c_c474_d902_5c88,
-    0xe632_a60d_fcd9_c359,
-    0x6c1c_b956_2524_941d,
-    0x7c78_2e26_6bbe_8b4c,
+    0x14db_5b72_d5f3_4166,
+    0x6930_dbec_5b60_bb82,
+    0xdcc2_2b5d_4752_7431,
+    0x7b1f_8a4f_d1bf_a4fd,
+    0x6d57_0892_f55c_764e,
 ];
 /// As [`CLEAN_PINS`], with telemetry, metrics, trace and timelines on.
 const TELEMETRY_PINS: [u64; 5] = [
-    0x056d_1de0_efbb_f216,
-    0xe85d_2554_d8ad_30ae,
-    0xf212_86ed_81da_267b,
-    0xac6e_b056_23a9_0cc4,
-    0x2b86_6528_148f_8d97,
+    0x2557_c794_52f5_b64d,
+    0x7165_30b4_ea0b_1c8e,
+    0x6fa1_7a90_bc0f_1d8e,
+    0x91b6_9244_49c6_971a,
+    0xabf4_cf70_d2af_d0a6,
 ];
 
 fn assert_pinned(result: &RunResult, pin: u64, what: &str) {
     assert_eq!(
         digest(result),
         pin,
-        "{what}: RunResult digest moved off the heap-captured pin"
+        "{what}: RunResult digest moved off the heap-tied pin"
     );
 }
 

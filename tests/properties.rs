@@ -6,6 +6,8 @@
 //! failing case's seed printed on assertion failure — rerun with that seed
 //! to replay the exact case.
 
+use std::collections::BTreeMap;
+
 use iotse::apps::kernels::coap::{CoapCode, CoapMessage, CoapOption, CoapType};
 use iotse::apps::kernels::jpeg;
 use iotse::apps::kernels::json::Json;
@@ -13,6 +15,7 @@ use iotse::apps::kernels::sync::{chunk, ChunkConfig};
 use iotse::energy::attribution::{Device, Routine};
 use iotse::energy::{EnergyLedger, Power, PowerTrace};
 use iotse::prelude::*;
+use iotse::sim::metrics::MetricsRegistry;
 use iotse::sim::queue::{EventQueue, ReferenceQueue};
 use iotse::sim::rng::SimRng;
 
@@ -253,6 +256,146 @@ fn ledger_merge_adds() {
         assert!(
             (merged.total().as_microjoules() - sum.as_microjoules()).abs() < 1e-6,
             "case {case}"
+        );
+    });
+}
+
+/// The sorted-map ledger the dense [`EnergyLedger`] replaced: one entry
+/// per charged `(Device, Routine)` cell, every total a left-to-right sum
+/// over the entries in key order.
+#[derive(Debug, Clone, Default)]
+struct MapLedger(BTreeMap<(Device, Routine), Energy>);
+
+impl MapLedger {
+    fn charge(&mut self, d: Device, r: Routine, e: Energy) {
+        *self.0.entry((d, r)).or_insert(Energy::ZERO) += e;
+    }
+    fn merge(&mut self, other: &MapLedger) {
+        for (&(d, r), &e) in &other.0 {
+            self.charge(d, r, e);
+        }
+    }
+    fn sum(&self, keep: impl Fn(Device, Routine) -> bool) -> Energy {
+        self.0
+            .iter()
+            .filter(|(&(d, r), _)| keep(d, r))
+            .map(|(_, &e)| e)
+            .sum()
+    }
+}
+
+/// Charges one random cell of both ledgers. Energies mix integers, zero
+/// and fractions of mixed magnitude, so sums round and their order shows.
+fn charge_both(rng: &mut SimRng, dense: &mut EnergyLedger, reference: &mut MapLedger) {
+    let d = Device::ALL[rng.gen_range(0..4usize)];
+    let r = Routine::ALL[rng.gen_range(0..5usize)];
+    let uj = match rng.gen_range(0..4u32) {
+        0 => 0.0,
+        1 => f64::from(rng.gen_range(0..1_000_000u32)),
+        2 => rng.gen_range(0.0..1e-3f64),
+        _ => rng.gen_range(0.0..1e9f64),
+    };
+    dense.charge(d, r, Energy::from_microjoules(uj));
+    reference.charge(d, r, Energy::from_microjoules(uj));
+}
+
+/// The dense ledger agrees bitwise with the sorted-map reference under any
+/// sequence of charges and merges: every total, cell, the iteration, the
+/// exported gauges and the `Debug` rendering.
+#[test]
+fn dense_ledger_matches_a_sorted_map_reference() {
+    const DEVICE_GAUGES: [&str; 4] = [
+        "iotse_energy_device_cpu_microjoules",
+        "iotse_energy_device_mcu_microjoules",
+        "iotse_energy_device_link_microjoules",
+        "iotse_energy_device_sensor_microjoules",
+    ];
+    const ROUTINE_GAUGES: [&str; 5] = [
+        "iotse_energy_routine_data_collection_microjoules",
+        "iotse_energy_routine_interrupt_microjoules",
+        "iotse_energy_routine_data_transfer_microjoules",
+        "iotse_energy_routine_app_compute_microjoules",
+        "iotse_energy_routine_idle_microjoules",
+    ];
+    let bits = |e: Energy| e.as_microjoules().to_bits();
+    forall(300, |case, rng| {
+        let mut dense = EnergyLedger::new();
+        let mut reference = MapLedger::default();
+        for _ in 0..rng.gen_range(0..60usize) {
+            if rng.gen_range(0..8u32) == 0 {
+                let mut other = EnergyLedger::new();
+                let mut other_ref = MapLedger::default();
+                for _ in 0..rng.gen_range(0..12usize) {
+                    charge_both(rng, &mut other, &mut other_ref);
+                }
+                dense.merge(&other);
+                reference.merge(&other_ref);
+            } else {
+                charge_both(rng, &mut dense, &mut reference);
+            }
+        }
+        assert_eq!(
+            bits(dense.total()),
+            bits(reference.sum(|_, _| true)),
+            "case {case}: total"
+        );
+        for r in Routine::ALL {
+            assert_eq!(
+                bits(dense.routine_total(r)),
+                bits(reference.sum(|_, x| x == r)),
+                "case {case}: routine_total({r})"
+            );
+        }
+        for d in Device::ALL {
+            assert_eq!(
+                bits(dense.device_total(d)),
+                bits(reference.sum(|x, _| x == d)),
+                "case {case}: device_total({d})"
+            );
+            for r in Routine::ALL {
+                let want = reference.0.get(&(d, r)).copied().unwrap_or(Energy::ZERO);
+                assert_eq!(
+                    bits(dense.cell(d, r)),
+                    bits(want),
+                    "case {case}: cell({d}, {r})"
+                );
+            }
+        }
+        let iterated: Vec<(Device, Routine, u64)> =
+            dense.iter().map(|(d, r, e)| (d, r, bits(e))).collect();
+        let expected: Vec<(Device, Routine, u64)> = reference
+            .0
+            .iter()
+            .map(|(&(d, r), &e)| (d, r, bits(e)))
+            .collect();
+        assert_eq!(iterated, expected, "case {case}: iter");
+        let mut reg = MetricsRegistry::new();
+        dense.export_metrics(&mut reg);
+        let report = reg.snapshot();
+        let gauge = |name: &str| report.gauge(name).map(f64::to_bits);
+        assert_eq!(
+            gauge("iotse_energy_total_microjoules"),
+            Some(bits(reference.sum(|_, _| true))),
+            "case {case}: total gauge"
+        );
+        for (d, name) in Device::ALL.into_iter().zip(DEVICE_GAUGES) {
+            assert_eq!(
+                gauge(name),
+                Some(bits(reference.sum(|x, _| x == d))),
+                "case {case}: {name}"
+            );
+        }
+        for (r, name) in Routine::ALL.into_iter().zip(ROUTINE_GAUGES) {
+            assert_eq!(
+                gauge(name),
+                Some(bits(reference.sum(|_, x| x == r))),
+                "case {case}: {name}"
+            );
+        }
+        assert_eq!(
+            format!("{dense:?}"),
+            format!("EnergyLedger {{ cells: {:?} }}", reference.0),
+            "case {case}: Debug"
         );
     });
 }
