@@ -6,11 +6,26 @@
 //! serialize their tasks and charge every joule to a `(device, routine)`
 //! ledger cell; the real app kernels run over the collected samples; and the
 //! whole thing folds into a [`RunResult`] — one column of one paper figure.
+//!
+//! A run has three phases. *Prepare* builds the scenario's own state: power
+//! bank, books, flows, apps, tick layout, fault plan and observability.
+//! *Drive* builds the [`PhysicalWorld`] and the [`Engine`], schedules every
+//! tick, and runs the engine dry. *Into-result* closes the books. Drive is
+//! shared by a *lockstep group*: scenarios whose sensor inputs are
+//! structurally equal (`Scenario::shares_inputs_with`) make exactly the
+//! same world reads and fire exactly the same events, so
+//! [`crate::runner::Fleet`] runs them against one world and one engine.
+//! Each tick fans out to the members in submission order; the first member
+//! that makes read attempt *i* reads the world, and later members reuse the
+//! outcome. Every member keeps its own books, trace, metrics, telemetry,
+//! fault plan, stuck-at latches and apps, so its result is bitwise the one
+//! it gets alone. [`Scenario::run`] is a group of one on the same path.
 
 use std::collections::BTreeMap;
 
 use iotse_energy::attribution::{Device, EnergyLedger, Routine};
 use iotse_energy::stacks::exact_residual;
+use iotse_sensors::driver::ReadSensorError;
 use iotse_sensors::faults::{apply as apply_sample_fault, SampleFault};
 use iotse_sensors::reading::{SampleValue, SensorSample};
 use iotse_sensors::spec::SensorId;
@@ -207,6 +222,11 @@ impl Scenario {
 
     /// Runs the scenario to completion.
     ///
+    /// This is a lockstep group of one (see the [module docs](self)): the
+    /// same prepare → drive → into-result path that
+    /// [`crate::runner::Fleet::run`] takes for scenarios that share their
+    /// sensor inputs.
+    ///
     /// # Panics
     ///
     /// Panics if a workload requests a sampling rate above its sensor's
@@ -214,6 +234,41 @@ impl Scenario {
     /// internally inconsistent [`Calibration`].
     #[must_use]
     pub fn run(self) -> RunResult {
+        let (mut exec, world) = self.prepare();
+        let events = drive(world, std::slice::from_mut(&mut exec));
+        exec.into_result(events)
+    }
+
+    /// Whether `self` and `other` make exactly the same [`PhysicalWorld`]
+    /// reads and fire exactly the same engine events, so that they can
+    /// run as one lockstep group (see [`run_lockstep`]).
+    ///
+    /// Every sample is latched at its nominal tick instant, so the reads
+    /// depend only on the seed, the windows, the world, the fault scripts
+    /// (which decide dropouts) and the tick layout: each app's window and
+    /// sensor usages, plus whether the scheme merges shared sensors.
+    /// Calibration, flows, DMA and observability may differ. The test is
+    /// structural equality throughout, cheapest fields first.
+    #[must_use]
+    pub(crate) fn shares_inputs_with(&self, other: &Scenario) -> bool {
+        self.seed == other.seed
+            && self.windows == other.windows
+            && self.scheme.shares_sensors() == other.scheme.shares_sensors()
+            && self.apps.len() == other.apps.len()
+            && self.faults == other.faults
+            && self.world == other.world
+            && self
+                .apps
+                .iter()
+                .zip(&other.apps)
+                .all(|(a, b)| a.window() == b.window() && a.sensors() == b.sensors())
+    }
+
+    /// Builds this scenario's own executor state: books, flows, apps,
+    /// tick layout, fault plan, observability and the root span. The
+    /// world and the engine are left to [`drive`], which a lockstep group
+    /// shares; the returned [`WorldConfig`] is stretched to cover the run.
+    fn prepare(self) -> (Exec, WorldConfig) {
         let Scenario {
             apps,
             scheme,
@@ -301,12 +356,15 @@ impl Scenario {
             cpu = cpu.with_timeline();
         }
 
-        let seeds = SeedTree::new(seed);
         // No scripts, no plan: the faults-off path must cost nothing and
         // change nothing (see the `faults` builder).
-        let fault_plan = (!faults.is_empty()).then(|| FaultPlan::new(&seeds, &faults));
+        let fault_plan =
+            (!faults.is_empty()).then(|| FaultPlan::new(&SeedTree::new(seed), &faults));
         let mut exec = Exec {
-            world: PhysicalWorld::new(&seeds, world_cfg),
+            scheme,
+            seed,
+            windows,
+            horizon,
             cal,
             power,
             cpu,
@@ -317,6 +375,7 @@ impl Scenario {
             } else {
                 TraceLog::disabled()
             },
+            root: SpanId::DISABLED,
             metrics: metrics.then(MetricsState::new),
             compute_cache,
             assigned: 0.0,
@@ -358,11 +417,8 @@ impl Scenario {
             TelemetryState::new(&cfg, max_window, windows, app_meta)
         });
 
-        // Build tick groups (BEAM merges same-rate shared sensors) and
-        // schedule every tick of every window up front. Ticks go in as
-        // plain-`fn` calls (`schedule_call`) into a queue sized for the
-        // whole run, so the scheduling phase never touches the allocator
-        // per tick.
+        // Build tick groups (BEAM merges same-rate shared sensors); `drive`
+        // schedules their ticks.
         exec.groups = build_groups(&exec.apps, scheme);
         if exec.trace.is_enabled() {
             for gi in 0..exec.groups.len() {
@@ -370,80 +426,152 @@ impl Scenario {
                 exec.groups[gi].sensor_label = Some(exec.trace.intern(&name));
             }
         }
-        let total_ticks: usize = exec
-            .groups
-            .iter()
-            .map(|g| g.samples_per_window as usize * windows as usize)
-            .sum();
-        let mut engine: Engine<Exec> = Engine::with_capacity(total_ticks);
-        for (gi, g) in exec.groups.iter().enumerate() {
-            let window_len = exec.apps[g.members[0]].window_len;
-            let interval = window_len / u64::from(g.samples_per_window);
-            // One batch push per group: same (gi, w, i) order as scheduling
-            // each tick individually, so sequence numbers — and therefore
-            // same-instant pop order — are unchanged.
-            engine.schedule_call_batch(
-                "tick",
-                tick_trampoline,
-                (0..windows).flat_map(|w| {
-                    (0..g.samples_per_window).map(move |i| {
-                        let t = SimTime::ZERO + window_len * u64::from(w) + interval * u64::from(i);
-                        (t, gi as u64, u64::from(w))
-                    })
-                }),
-            );
-        }
-
-        // Interrupt-storm scripts add their spurious wakeups as first-class
-        // engine events. Faults-off runs take the `None` arm and the event
-        // count — gated exactly by the bench suite — is untouched.
-        if let Some(plan) = &exec.faults {
-            let schedule = plan.storm_schedule();
-            if !schedule.is_empty() {
-                engine.schedule_call_batch(
-                    "fault_storm",
-                    storm_trampoline,
-                    schedule.into_iter().map(|t| (t, 0, 0)),
-                );
-            }
-        }
 
         // The root span covers the whole run; every tick nests under it.
-        let root = exec
+        exec.root = exec
             .trace
             .enter_span(SimTime::ZERO, TraceKind::Scheme, "iotse_core_run", &[]);
-        engine.run(&mut exec);
+        (exec, world_cfg)
+    }
+}
 
+/// Runs `scenarios` as one lockstep group — one [`PhysicalWorld`], one
+/// [`Engine`], one thread — and returns their results in order. Every
+/// member keeps its own books, trace, metrics, telemetry, fault plan,
+/// stuck-at latches and apps, so each result is bitwise the one
+/// [`Scenario::run`] gives for that member alone.
+///
+/// # Panics
+///
+/// Panics if `scenarios` is empty, or as [`Scenario::run`] does. Members
+/// must pairwise satisfy [`Scenario::shares_inputs_with`] (checked in
+/// debug builds).
+#[must_use]
+pub(crate) fn run_lockstep(scenarios: Vec<Scenario>) -> Vec<RunResult> {
+    debug_assert!(
+        scenarios
+            .iter()
+            .all(|s| s.shares_inputs_with(&scenarios[0])),
+        "lockstep members must share their sensor inputs"
+    );
+    let mut world = None;
+    let mut members = Vec::with_capacity(scenarios.len());
+    for scenario in scenarios {
+        let (exec, cfg) = scenario.prepare();
+        world.get_or_insert(cfg);
+        members.push(exec);
+    }
+    // iotse-lint: allow(IOTSE-E04) documented panic contract: a group is never empty
+    let world = world.expect("a lockstep group has at least one member");
+    let events = drive(world, &mut members);
+    members
+        .into_iter()
+        .map(|exec| exec.into_result(events))
+        .collect()
+}
+
+/// The state one engine drives: a lockstep group's shared acquisition
+/// layer and its members in submission order.
+struct Lockstep<'m> {
+    acquisition: Acquisition,
+    members: &'m mut [Exec],
+}
+
+/// Builds the group's world, schedules every tick of every window (and
+/// any interrupt storm) from the first member's layout — identical across
+/// members by [`Scenario::shares_inputs_with`] — and runs the engine dry.
+/// Returns the number of events executed.
+fn drive(world: WorldConfig, members: &mut [Exec]) -> u64 {
+    let lead = &members[0];
+    let world = PhysicalWorld::new(&SeedTree::new(lead.seed), world);
+    // Ticks go in as plain-`fn` calls (`schedule_call`) into a queue sized
+    // for the whole run, so the scheduling phase never touches the
+    // allocator per tick.
+    let windows = lead.windows;
+    let total_ticks: usize = lead
+        .groups
+        .iter()
+        .map(|g| g.samples_per_window as usize * windows as usize)
+        .sum();
+    let mut engine: Engine<Lockstep<'_>> = Engine::with_capacity(total_ticks);
+    for (gi, g) in lead.groups.iter().enumerate() {
+        let window_len = lead.apps[g.members[0]].window_len;
+        let interval = window_len / u64::from(g.samples_per_window);
+        // One batch push per group: same (gi, w, i) order as scheduling
+        // each tick individually, so sequence numbers — and therefore
+        // same-instant pop order — are unchanged.
+        engine.schedule_call_batch(
+            "tick",
+            tick_trampoline,
+            (0..windows).flat_map(|w| {
+                (0..g.samples_per_window).map(move |i| {
+                    let t = SimTime::ZERO + window_len * u64::from(w) + interval * u64::from(i);
+                    (t, gi as u64, u64::from(w))
+                })
+            }),
+        );
+    }
+
+    // Interrupt-storm scripts add their spurious wakeups as first-class
+    // engine events. Faults-off runs take the `None` arm and the event
+    // count — gated exactly by the bench suite — is untouched.
+    if let Some(plan) = &lead.faults {
+        let schedule = plan.storm_schedule();
+        if !schedule.is_empty() {
+            engine.schedule_call_batch(
+                "fault_storm",
+                storm_trampoline,
+                schedule.into_iter().map(|t| (t, 0, 0)),
+            );
+        }
+    }
+
+    let mut group = Lockstep {
+        acquisition: Acquisition {
+            world,
+            failed: Vec::new(),
+            sample: None,
+        },
+        members,
+    };
+    engine.run(&mut group);
+    engine.events_executed()
+}
+
+impl Exec {
+    /// Closes the books and folds this member's state into its result.
+    fn into_result(mut self, events_executed: u64) -> RunResult {
         // Close out the books at the horizon (or later, if the last task
         // overran it).
-        let end = horizon
-            .max(exec.cpu.busy_until(&exec.power))
-            .max(exec.mcu.busy_until(&exec.power));
-        exec.cpu.finish(&mut exec.power, &mut exec.ledger, end);
-        exec.mcu.finish(&mut exec.power, &mut exec.ledger, end);
+        let end = self
+            .horizon
+            .max(self.cpu.busy_until(&self.power))
+            .max(self.mcu.busy_until(&self.power));
+        self.cpu.finish(&mut self.power, &mut self.ledger, end);
+        self.mcu.finish(&mut self.power, &mut self.ledger, end);
 
         // The close span absorbs everything charged at book-closing (tail
         // gap/idle energy) plus any floating-point residue, so the folded
         // span weights reproduce `ledger.total()` bitwise (see `settle`).
-        let close = exec
+        let close = self
             .trace
             .enter_span(end, TraceKind::PowerState, "iotse_core_close", &[]);
-        if exec.trace.is_enabled() {
-            let total = exec.ledger.total().as_microjoules();
-            let weight = exact_residual(exec.assigned, total);
-            exec.trace.charge_span(close, weight);
-            exec.assigned += weight;
+        if self.trace.is_enabled() {
+            let total = self.ledger.total().as_microjoules();
+            let weight = exact_residual(self.assigned, total);
+            self.trace.charge_span(close, weight);
+            self.assigned += weight;
         }
-        exec.trace.exit_span(close, end);
-        exec.trace.exit_span(root, end);
+        self.trace.exit_span(close, end);
+        self.trace.exit_span(self.root, end);
 
         // Seal the telemetry payload: force-close any window the tick
         // stream never reached (the final one always, plus every window
         // of an idle run), with the last window ulp-nudged so each
         // routine's series folds back to its ledger total bitwise.
-        let telemetry = exec.telemetry.take().map(|t| t.close(&exec.ledger));
+        let telemetry = self.telemetry.take().map(|t| t.close(&self.ledger));
 
-        let apps: Vec<AppRunReport> = exec
+        let apps: Vec<AppRunReport> = self
             .apps
             .into_iter()
             .map(|rt| AppRunReport {
@@ -456,20 +584,20 @@ impl Scenario {
 
         // End-of-run counters come straight from the totals the executor
         // already tracks; only per-event histograms observe on the hot path.
-        let mcu_stats = exec.mcu.stats(&exec.power);
-        let fault_stats = exec
+        let mcu_stats = self.mcu.stats(&self.power);
+        let fault_stats = self
             .faults
             .as_ref()
             .map(FaultPlan::stats)
             .unwrap_or_default();
-        let faults_on = exec.faults.is_some();
-        let metrics = exec.metrics.map(|mut m| {
+        let faults_on = self.faults.is_some();
+        let metrics = self.metrics.map(|mut m| {
             let c = m.reg.counter("iotse_core_interrupts_total");
-            m.reg.add(c, exec.interrupts);
+            m.reg.add(c, self.interrupts);
             let c = m.reg.counter("iotse_core_sensor_reads_total");
-            m.reg.add(c, exec.sensor_reads);
+            m.reg.add(c, self.sensor_reads);
             let c = m.reg.counter("iotse_core_transfer_bytes_total");
-            m.reg.add(c, exec.bytes_transferred);
+            m.reg.add(c, self.bytes_transferred);
             let c = m.reg.counter("iotse_core_forced_flushes_total");
             m.reg.add(c, mcu_stats.forced_flushes);
             let c = m.reg.counter("iotse_core_windows_completed_total");
@@ -498,29 +626,29 @@ impl Scenario {
                 let c = m.reg.counter("iotse_core_telemetry_detector_evals_total");
                 m.reg.add(c, t.detector_evals);
             }
-            exec.ledger.export_metrics(&mut m.reg);
+            self.ledger.export_metrics(&mut m.reg);
             m.reg.snapshot()
         });
 
         RunResult {
-            scheme,
-            seed,
+            scheme: self.scheme,
+            seed: self.seed,
             duration: end - SimTime::ZERO,
-            ledger: exec.ledger,
-            cpu: exec.cpu.stats(&exec.power),
+            ledger: self.ledger,
+            cpu: self.cpu.stats(&self.power),
             mcu: mcu_stats,
-            events_executed: engine.events_executed(),
-            interrupts: exec.interrupts,
-            sensor_reads: exec.sensor_reads,
-            bytes_transferred: exec.bytes_transferred,
+            events_executed,
+            interrupts: self.interrupts,
+            sensor_reads: self.sensor_reads,
+            bytes_transferred: self.bytes_transferred,
             faults: fault_stats,
             apps,
-            cpu_timeline: exec.cpu.timeline().map(<[_]>::to_vec),
-            mcu_timeline: exec.mcu.timeline().map(<[_]>::to_vec),
-            spans: exec.trace.summary(),
+            cpu_timeline: self.cpu.timeline().map(<[_]>::to_vec),
+            mcu_timeline: self.mcu.timeline().map(<[_]>::to_vec),
+            spans: self.trace.summary(),
             metrics,
             telemetry,
-            trace: exec.trace,
+            trace: self.trace,
         }
     }
 }
@@ -570,26 +698,108 @@ fn validate_rates(app: &dyn Workload) {
 }
 
 /// The tick entry point, as a plain `fn` so the engine stores it inline
-/// (see `Engine::schedule_call`).
+/// (see `Engine::schedule_call`). Fans the tick out to every member in
+/// submission order; the members share this tick's world reads.
 // iotse-lint: hot-path
-fn tick_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, group_idx: u64, window: u64) {
-    exec.on_tick(eng.now(), group_idx as usize, window as u32);
+fn tick_trampoline(
+    group: &mut Lockstep<'_>,
+    eng: &mut Engine<Lockstep<'_>>,
+    group_idx: u64,
+    window: u64,
+) {
+    let now = eng.now();
+    let Lockstep {
+        acquisition,
+        members,
+    } = group;
+    acquisition.begin_tick();
+    let last = members.len() - 1;
+    for (i, exec) in members.iter_mut().enumerate() {
+        exec.on_tick(
+            now,
+            group_idx as usize,
+            window as u32,
+            acquisition,
+            i == last,
+        );
+    }
 }
 
 /// The interrupt-storm entry point: a spurious interrupt paid for like a
-/// real one (MCU raise + CPU handling, including any sleep transitions).
-/// Only scheduled when an interrupt-storm script exists.
-fn storm_trampoline(exec: &mut Exec, eng: &mut Engine<Exec>, _a: u64, _b: u64) {
+/// real one (MCU raise + CPU handling, including any sleep transitions),
+/// by every member. Only scheduled when an interrupt-storm script exists.
+fn storm_trampoline(group: &mut Lockstep<'_>, eng: &mut Engine<Lockstep<'_>>, _a: u64, _b: u64) {
     let now = eng.now();
-    let handled = exec.interrupt(now);
-    exec.trace.record(
-        handled,
-        TraceKind::Interrupt,
-        "mcu",
-        "fault: spurious interrupt",
-    );
-    if let Some(plan) = &mut exec.faults {
-        plan.note_storm_interrupt();
+    for exec in group.members.iter_mut() {
+        let handled = exec.interrupt(now);
+        exec.trace.record(
+            handled,
+            TraceKind::Interrupt,
+            "mcu",
+            "fault: spurious interrupt",
+        );
+        if let Some(plan) = &mut exec.faults {
+            plan.note_storm_interrupt();
+        }
+    }
+}
+
+/// The acquisition layer a lockstep group shares: one world, and the
+/// reads of the tick in flight. Attempt *i* of a tick reads the world
+/// once, and every later member that makes attempt *i* gets the same
+/// outcome. Fault dispositions are identical across members, so they all
+/// make the same attempts.
+struct Acquisition {
+    world: PhysicalWorld,
+    /// This tick's failed attempts so far, in attempt order (the buffer is
+    /// reused across ticks).
+    failed: Vec<ReadSensorError>,
+    /// This tick's successful sample, held for the members still to come.
+    sample: Option<SensorSample>,
+}
+
+impl Acquisition {
+    fn begin_tick(&mut self) {
+        // `truncate`, not `clear`: iotse-lint resolves calls by name, and
+        // `clear` is also the signal cache's reset.
+        self.failed.truncate(0);
+        self.sample = None;
+    }
+
+    /// Read attempt `attempt` of `sensor` at `now`. The `last` member
+    /// takes a successful sample by move; the ones before it get a clone.
+    // iotse-lint: hot-path
+    fn read(
+        &mut self,
+        sensor: SensorId,
+        now: SimTime,
+        attempt: usize,
+        last: bool,
+    ) -> Result<SensorSample, ReadSensorError> {
+        if let Some(e) = self.failed.get(attempt) {
+            return Err(e.clone());
+        }
+        debug_assert_eq!(
+            attempt,
+            self.failed.len(),
+            "members diverged on read attempts"
+        );
+        let got = match self.sample.take() {
+            Some(s) => Ok(s),
+            None => self.world.read(sensor, now),
+        };
+        match got {
+            Ok(s) if last => Ok(s),
+            Ok(s) => {
+                self.sample = Some(s.clone());
+                Ok(s)
+            }
+            Err(e) => {
+                // lint: grows once to the deepest retry chain, then reused
+                self.failed.push(e.clone());
+                Err(e)
+            }
+        }
     }
 }
 
@@ -654,6 +864,30 @@ struct PendingWindow {
     ready: SimTime,
 }
 
+/// `window`'s pending state in `pending`, opened on first use.
+fn pending_window(
+    pending: &mut BTreeMap<u32, PendingWindow>,
+    window_len: SimDuration,
+    window: u32,
+) -> &mut PendingWindow {
+    pending.entry(window).or_insert_with(|| {
+        let start = SimTime::ZERO + window_len * u64::from(window);
+        PendingWindow {
+            data: WindowData {
+                window,
+                start,
+                end: start + window_len,
+                // lint: BTreeMap::new is alloc-free; nodes allocate on first insert
+                samples: BTreeMap::new(),
+            },
+            received: 0,
+            batch_bytes: 0,
+            processing: RoutineDurations::default(),
+            ready: start,
+        }
+    })
+}
+
 /// Live metric instruments (only the per-event histograms observe on the
 /// hot path; counters are filled from run totals at the end).
 struct MetricsState {
@@ -679,9 +913,14 @@ impl MetricsState {
     }
 }
 
-/// The executor state driven by the engine.
+/// One scenario's executor state: everything but the world and the
+/// engine, which its lockstep group shares (see [`drive`]).
 struct Exec {
-    world: PhysicalWorld,
+    scheme: Scheme,
+    seed: u64,
+    windows: u32,
+    /// End of the last window; the books close here or later.
+    horizon: SimTime,
     cal: Calibration,
     /// Shared struct-of-arrays power state: lane 0 = MCU, lane 1 = CPU.
     power: PowerBank<2>,
@@ -689,6 +928,8 @@ struct Exec {
     mcu: McuAccount,
     ledger: EnergyLedger,
     trace: TraceLog,
+    /// The span covering the whole run.
+    root: SpanId,
     metrics: Option<MetricsState>,
     /// Routes memoizable kernels through [`crate::compute_cache`].
     compute_cache: bool,
@@ -730,7 +971,14 @@ impl Exec {
     }
 
     // iotse-lint: hot-path
-    fn on_tick(&mut self, now: SimTime, group_idx: usize, window: u32) {
+    fn on_tick(
+        &mut self,
+        now: SimTime,
+        group_idx: usize,
+        window: u32,
+        acquisition: &mut Acquisition,
+        last: bool,
+    ) {
         // Window-boundary telemetry rolls first, so everything charged by
         // earlier ticks — including their overruns past the boundary —
         // is binned into the window whose tick initiated it.
@@ -783,7 +1031,7 @@ impl Exec {
         };
         let mut sample: Option<SensorSample> = None;
         let mut read_end = now;
-        for _attempt in 0..MAX_READ_RETRIES {
+        for attempt in 0..MAX_READ_RETRIES as usize {
             let (_, end) = self.mcu.task(
                 &mut self.power,
                 &mut self.ledger,
@@ -813,7 +1061,7 @@ impl Exec {
                     });
                 continue;
             }
-            match self.world.read(sensor, now) {
+            match acquisition.read(sensor, now, attempt, last) {
                 Ok(s) => {
                     sample = Some(s);
                     break;
@@ -864,10 +1112,10 @@ impl Exec {
         self.trace.exit_span(collect, read_end);
 
         // Collection busy time, split across sharers under BEAM.
-        let share = read_cost / members.len() as u64;
-        for &m in &members {
-            self.pending(m, window).processing.data_collection += share;
-        }
+        let collection = RoutineDurations {
+            data_collection: read_cost / members.len() as u64,
+            ..RoutineDurations::default()
+        };
 
         // --- Route per flow. Multi-member groups only exist under BEAM,
         // where every app is per-sample.
@@ -879,13 +1127,13 @@ impl Exec {
                 let int_end = self.interrupt(read_end);
                 let tx_end = self.transfer(int_end, bytes_per_sample);
                 let n = members.len() as u64;
-                let dur = self.cal.transfer_time(bytes_per_sample);
+                let busy = RoutineDurations {
+                    interrupt: self.cal.cpu_interrupt_handling / n,
+                    data_transfer: self.cal.transfer_time(bytes_per_sample) / n,
+                    ..collection
+                };
                 let last = members.len() - 1;
                 for (i, &m) in members.iter().enumerate() {
-                    let handling = self.cal.cpu_interrupt_handling;
-                    let pw = self.pending(m, window);
-                    pw.processing.interrupt += handling / n;
-                    pw.processing.data_transfer += dur / n;
                     // The last sharer takes the sample by move; only the
                     // ones before it pay for a clone.
                     let s = if i == last {
@@ -893,8 +1141,9 @@ impl Exec {
                     } else {
                         sample.clone()
                     };
-                    self.deliver(m, window, s, tx_end);
-                    self.try_complete_per_sample(m, window);
+                    if let Some(pw) = self.deliver(m, window, busy, 0, s, tx_end) {
+                        self.complete_per_sample(m, pw);
+                    }
                 }
             }
             AppFlow::Batched => {
@@ -904,9 +1153,8 @@ impl Exec {
                     self.flush_all_batches(read_end);
                     buffered = self.mcu.buffer_push(bytes_per_sample);
                 }
-                if buffered {
-                    self.pending(m, window).batch_bytes += bytes_per_sample;
-                    self.deliver(m, window, sample, read_end);
+                let complete = if buffered {
+                    self.deliver(m, window, collection, bytes_per_sample, sample, read_end)
                 } else {
                     // The sample cannot fit the MCU's remaining RAM even
                     // with an empty batch buffer (offload reservations ate
@@ -914,19 +1162,22 @@ impl Exec {
                     // transfer.
                     let int_end = self.interrupt(read_end);
                     let tx_end = self.transfer(int_end, bytes_per_sample);
-                    let dur = self.cal.transfer_time(bytes_per_sample);
-                    let handling = self.cal.cpu_interrupt_handling;
-                    let pw = self.pending(m, window);
-                    pw.processing.interrupt += handling;
-                    pw.processing.data_transfer += dur;
-                    self.deliver(m, window, sample, tx_end);
+                    let busy = RoutineDurations {
+                        interrupt: self.cal.cpu_interrupt_handling,
+                        data_transfer: self.cal.transfer_time(bytes_per_sample),
+                        ..collection
+                    };
+                    self.deliver(m, window, busy, 0, sample, tx_end)
+                };
+                if let Some(pw) = complete {
+                    self.complete_batched(m, pw);
                 }
-                self.try_complete_batched(m, window);
             }
             AppFlow::Offloaded => {
                 let m = members[0];
-                self.deliver(m, window, sample, read_end);
-                self.try_complete_offloaded(m, window);
+                if let Some(pw) = self.deliver(m, window, collection, 0, sample, read_end) {
+                    self.complete_offloaded(m, pw);
+                }
             }
         }
 
@@ -938,32 +1189,48 @@ impl Exec {
         self.groups[group_idx].members = members;
     }
 
-    fn pending(&mut self, app: usize, window: u32) -> &mut PendingWindow {
-        let window_len = self.apps[app].window_len;
-        self.apps[app].pending.entry(window).or_insert_with(|| {
-            let start = SimTime::ZERO + window_len * u64::from(window);
-            PendingWindow {
-                data: WindowData {
-                    window,
-                    start,
-                    end: start + window_len,
-                    // lint: BTreeMap::new is alloc-free; nodes allocate on first insert
-                    samples: BTreeMap::new(),
-                },
-                received: 0,
-                batch_bytes: 0,
-                processing: RoutineDurations::default(),
-                ready: start,
-            }
-        })
-    }
-
-    fn deliver(&mut self, app: usize, window: u32, sample: Option<SensorSample>, at: SimTime) {
-        let pw = self.pending(app, window);
+    /// Files one tick into `app`'s pending `window`: `busy` joins its
+    /// per-routine time, `batch_bytes` its MCU batch, and `sample` (when
+    /// the read succeeded) its data, available from `at`. Returns the
+    /// window, removed from the pending set, once every expected sample
+    /// has arrived.
+    fn deliver(
+        &mut self,
+        app: usize,
+        window: u32,
+        busy: RoutineDurations,
+        batch_bytes: usize,
+        sample: Option<SensorSample>,
+        at: SimTime,
+    ) -> Option<PendingWindow> {
+        let rt = &mut self.apps[app];
+        let pw = pending_window(&mut rt.pending, rt.window_len, window);
+        pw.processing += busy;
+        pw.batch_bytes += batch_bytes;
         pw.received += 1;
         pw.ready = pw.ready.max(at);
         if let Some(s) = sample {
-            pw.data.samples.entry(s.sensor).or_default().push(s);
+            let usages = &rt.usages;
+            pw.data
+                .samples
+                .entry(s.sensor)
+                .or_insert_with(|| {
+                    // Exact capacity: the app's whole per-window quota of
+                    // this sensor, so the vector never regrows.
+                    let quota = usages
+                        .iter()
+                        .filter(|u| u.sensor == s.sensor)
+                        .map(|u| u.samples_per_window as usize)
+                        .sum();
+                    // lint: one allocation per (window, sensor), sized up front
+                    Vec::with_capacity(quota)
+                })
+                .push(s);
+        }
+        if pw.received >= rt.expected {
+            rt.pending.remove(&window)
+        } else {
+            None
         }
     }
 
@@ -1096,10 +1363,7 @@ impl Exec {
         end
     }
 
-    fn try_complete_per_sample(&mut self, app: usize, window: u32) {
-        let Some(pw) = self.take_if_complete(app, window) else {
-            return;
-        };
+    fn complete_per_sample(&mut self, app: usize, pw: PendingWindow) {
         let compute = self.apps[app].workload.resources().cpu_compute;
         let span = self
             .trace
@@ -1116,10 +1380,7 @@ impl Exec {
         self.finish_window(app, pw, compute, end);
     }
 
-    fn try_complete_batched(&mut self, app: usize, window: u32) {
-        let Some(mut pw) = self.take_if_complete(app, window) else {
-            return;
-        };
+    fn complete_batched(&mut self, app: usize, mut pw: PendingWindow) {
         // Flush: one interrupt, one bulk transfer of the whole batch.
         let flush = self
             .trace
@@ -1155,10 +1416,7 @@ impl Exec {
         self.finish_window(app, pw, compute, end);
     }
 
-    fn try_complete_offloaded(&mut self, app: usize, window: u32) {
-        let Some(mut pw) = self.take_if_complete(app, window) else {
-            return;
-        };
+    fn complete_offloaded(&mut self, app: usize, mut pw: PendingWindow) {
         // Kernel runs on the MCU…
         let compute = self.apps[app].workload.resources().mcu_compute;
         let span = self
@@ -1217,20 +1475,6 @@ impl Exec {
             )
         } else {
             workload.compute(data)
-        }
-    }
-
-    /// Removes and returns `window`'s pending state iff every expected
-    /// sample has arrived; leaves it queued (and returns `None`) otherwise.
-    fn take_if_complete(&mut self, app: usize, window: u32) -> Option<PendingWindow> {
-        let complete = self.apps[app]
-            .pending
-            .get(&window)
-            .is_some_and(|pw| pw.received >= self.apps[app].expected);
-        if complete {
-            self.apps[app].pending.remove(&window)
-        } else {
-            None
         }
     }
 

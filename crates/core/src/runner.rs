@@ -5,19 +5,28 @@
 //! executions keyed by `(scheme, apps, seed, world)`. Each execution is a
 //! self-contained deterministic simulation: its RNG streams derive from its
 //! own seed via [`iotse_sim::rng::SeedTree`], and its [`PhysicalWorld`] is
-//! constructed inside [`Scenario::run`] on whichever thread runs it. That
-//! makes the fleet embarrassingly parallel — and, crucially, makes the
-//! *results* independent of scheduling:
+//! constructed on whichever thread runs it. That makes the fleet
+//! embarrassingly parallel — and, crucially, makes the *results*
+//! independent of scheduling:
 //!
-//! * **Work distribution** is a single atomic cursor over the submission
-//!   order; workers claim the next unstarted scenario. No channels, no
-//!   stealing, no allocation in the dispatch path.
+//! * **Lockstep groups.** Scenarios whose sensor inputs are structurally
+//!   equal — seed, windows, world, fault scripts and tick layout — make
+//!   exactly the same world reads and fire exactly the same engine events.
+//!   The fleet runs each such group (of at most eight) on one thread against one world and one engine, so a figure's schemes
+//!   acquire every sample once (see [`crate::executor`]). Each member keeps
+//!   its own books, so its result is bitwise what [`Scenario::run`] gives
+//!   for it alone.
+//! * **Work distribution** is a single atomic cursor over the units of
+//!   work (groups and single scenarios); workers claim the next unstarted
+//!   unit. No channels, no stealing. Groups split until there are at least
+//!   `jobs` units whenever the fleet has at least `jobs` scenarios.
 //! * **Aggregation** places each [`RunResult`] at its submission index.
 //!   Completion order — which varies run to run under load — is never
 //!   observable in the output.
 //! * **Seeding** never involves the worker: a scenario's RNG is a pure
 //!   function of its own key, so `--jobs 1` and `--jobs 8` produce bitwise
-//!   identical results (enforced by `tests/determinism.rs`).
+//!   identical results (enforced by `tests/determinism.rs`, which also
+//!   holds every fleet result to its member's solo run).
 //!
 //! [`PhysicalWorld`]: iotse_sensors::world::PhysicalWorld
 //!
@@ -39,7 +48,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::executor::Scenario;
+use crate::executor::{run_lockstep, Scenario};
 use crate::result::RunResult;
 
 /// A pool size for scenario execution.
@@ -80,9 +89,12 @@ impl Fleet {
 
     /// Runs every scenario and returns results **in submission order**.
     ///
-    /// With one job (or one scenario) everything runs on the calling
-    /// thread — no pool, identical code path to calling
-    /// [`Scenario::run`] in a loop.
+    /// Scenarios that share their sensor inputs run as lockstep groups
+    /// (see the [module docs](self)): one world, one engine and one thread
+    /// per group, each member with its own books. Every result is bitwise the
+    /// one [`Scenario::run`] gives for that scenario alone, at any `jobs`.
+    /// With one job (or one unit of work) everything runs on the calling
+    /// thread.
     ///
     /// # Panics
     ///
@@ -91,44 +103,56 @@ impl Fleet {
     #[must_use]
     pub fn run(&self, scenarios: Vec<Scenario>) -> Vec<RunResult> {
         let n = scenarios.len();
-        if self.jobs == 1 || n <= 1 {
-            return scenarios.into_iter().map(Scenario::run).collect();
-        }
+        let units = lockstep_units(&scenarios, self.jobs);
 
-        // Claimable task slots and submission-indexed result slots. The
-        // mutexes are uncontended by construction — the atomic cursor hands
-        // each index to exactly one worker — they exist to keep the shared
-        // vectors safe without `unsafe` (the crate forbids it).
+        // Claimable scenario slots and submission-indexed result slots.
+        // The mutexes are uncontended by construction — the atomic cursor
+        // hands each unit, and so each index, to exactly one worker — they
+        // exist to keep the shared vectors safe without `unsafe` (the
+        // crate forbids it).
         let tasks: Vec<Mutex<Option<Scenario>>> =
             scenarios.into_iter().map(|s| Mutex::new(Some(s))).collect();
         let results: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
 
-        thread::scope(|scope| {
-            for _ in 0..self.jobs.min(n) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Lock poisoning only happens after another worker
-                    // panicked, and Fleet::run's documented panic contract
-                    // already propagates that panic; the take() invariant is
-                    // enforced by the atomic cursor handing out each index
-                    // exactly once.
-                    let scenario = tasks[i]
-                        .lock()
-                        // iotse-lint: allow(IOTSE-E04) poisoning propagates a worker panic
-                        .expect("task slot poisoned")
-                        .take()
-                        // iotse-lint: allow(IOTSE-E04) the cursor claims each index exactly once
-                        .expect("each task slot is claimed exactly once");
-                    let result = scenario.run();
-                    // iotse-lint: allow(IOTSE-E04) poisoning propagates a worker panic
-                    *results[i].lock().expect("result slot poisoned") = Some(result);
-                });
+        // Lock poisoning only happens after another worker panicked, and
+        // Fleet::run's documented panic contract already propagates that
+        // panic; the take() invariant is enforced by the atomic cursor
+        // handing out each unit exactly once.
+        let take = |i: usize| {
+            tasks[i]
+                .lock()
+                // iotse-lint: allow(IOTSE-E04) poisoning propagates a worker panic
+                .expect("task slot poisoned")
+                .take()
+                // iotse-lint: allow(IOTSE-E04) the cursor claims each index exactly once
+                .expect("each task slot is claimed exactly once")
+        };
+        let store = |i: usize, result: RunResult| {
+            // iotse-lint: allow(IOTSE-E04) poisoning propagates a worker panic
+            *results[i].lock().expect("result slot poisoned") = Some(result);
+        };
+        let work = || loop {
+            let u = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(u) else {
+                break;
+            };
+            let group = unit.iter().map(|&i| take(i)).collect();
+            for (&i, result) in unit.iter().zip(run_lockstep(group)) {
+                store(i, result);
             }
-        });
+        };
+
+        let workers = self.jobs.min(units.len());
+        if workers <= 1 {
+            work();
+        } else {
+            thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
+        }
 
         results
             .into_iter()
@@ -136,11 +160,67 @@ impl Fleet {
                 slot.into_inner()
                     // iotse-lint: allow(IOTSE-E04) poisoning propagates a worker panic
                     .expect("result slot poisoned")
-                    // iotse-lint: allow(IOTSE-E04) the scope joins every worker before this runs
+                    // iotse-lint: allow(IOTSE-E04) every unit ran before this point
                     .expect("every slot is filled before the scope ends")
             })
             .collect()
     }
+}
+
+/// Most members one lockstep group holds. Every member keeps its own live
+/// windows (samples of every pending window), so a group's memory grows
+/// with its size; a figure cell's schemes fit well inside.
+const MAX_LOCKSTEP_MEMBERS: usize = 8;
+
+/// Partitions submission indices `0..scenarios.len()` into units of work,
+/// each run on one thread as a lockstep group (a unit of one runs exactly
+/// as [`Scenario::run`] does).
+///
+/// 1. Scenarios join the class of the first earlier scenario they share
+///    their sensor inputs with ([`Scenario::shares_inputs_with`]:
+///    structural equality, no hashing).
+/// 2. Each class splits, in submission order, into runs of at most
+///    [`MAX_LOCKSTEP_MEMBERS`].
+/// 3. While the fleet holds at least `jobs` scenarios but fewer than `jobs`
+///    units, the largest unit (the first, on ties) splits in half, so no
+///    worker idles behind one big group.
+///
+/// Members keep submission order within a unit. Nothing here can change a
+/// result: grouping only decides which scenarios share a world and an
+/// engine.
+#[must_use]
+fn lockstep_units(scenarios: &[Scenario], jobs: usize) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    // Per class: its first scenario and the unit its latest members fill.
+    let mut classes: Vec<(usize, usize)> = Vec::new();
+    for (i, scenario) in scenarios.iter().enumerate() {
+        let class = classes
+            .iter_mut()
+            .find(|(rep, _)| scenarios[*rep].shares_inputs_with(scenario));
+        match class {
+            Some((_, open)) if units[*open].len() < MAX_LOCKSTEP_MEMBERS => units[*open].push(i),
+            Some((_, open)) => {
+                *open = units.len();
+                units.push(vec![i]);
+            }
+            None => {
+                classes.push((i, units.len()));
+                units.push(vec![i]);
+            }
+        }
+    }
+    while units.len() < jobs && scenarios.len() >= jobs {
+        let mut largest = 0;
+        for u in 1..units.len() {
+            if units[u].len() > units[largest].len() {
+                largest = u;
+            }
+        }
+        let half = units[largest].len() / 2;
+        let tail = units[largest].split_off(half);
+        units.insert(largest + 1, tail);
+    }
+    units
 }
 
 /// Convenience: run `scenarios` on `jobs` threads, results in submission
@@ -304,6 +384,157 @@ mod tests {
     fn zero_jobs_clamps_to_one() {
         assert_eq!(Fleet::new(0).jobs(), 1);
         assert!(Fleet::default().jobs() >= 1);
+    }
+
+    /// A workload with a configurable tick layout.
+    struct Layout {
+        sensor: SensorId,
+        rate: u32,
+        window_s: u64,
+    }
+
+    impl Workload for Layout {
+        fn id(&self) -> AppId {
+            AppId::A7
+        }
+        fn name(&self) -> &'static str {
+            "layout"
+        }
+        fn window(&self) -> SimDuration {
+            SimDuration::from_secs(self.window_s)
+        }
+        fn sensors(&self) -> Vec<SensorUsage> {
+            vec![SensorUsage::periodic(self.sensor, self.rate)]
+        }
+        fn resources(&self) -> ResourceProfile {
+            Probe.resources()
+        }
+        fn compute(&mut self, data: &WindowData) -> AppOutput {
+            AppOutput::Steps(data.sensor(self.sensor).len() as u32)
+        }
+    }
+
+    fn layout(sensor: SensorId, rate: u32, window_s: u64) -> Box<dyn Workload> {
+        Box::new(Layout {
+            sensor,
+            rate,
+            window_s,
+        })
+    }
+
+    /// The base scenario every grouping variant departs from.
+    fn base(scheme: Scheme) -> Scenario {
+        Scenario::new(scheme, vec![Box::new(Probe)])
+            .windows(2)
+            .seed(5)
+    }
+
+    fn storm() -> iotse_sim::faults::FaultScript {
+        iotse_sim::faults::FaultScript::new(
+            iotse_sim::faults::FaultKind::InterruptStorm { rate_hz: 100 },
+            iotse_sim::time::SimTime::ZERO,
+            SimDuration::from_millis(500),
+        )
+    }
+
+    #[test]
+    fn grouping_splits_on_each_input_separately() {
+        use iotse_sensors::world::WorldConfig;
+        let scenarios = vec![
+            // 0: the base; 1-4 differ only where results may differ
+            // without changing the reads, so they join it.
+            base(Scheme::Baseline),
+            base(Scheme::Batching),
+            base(Scheme::Com).calibration(crate::calibration::Calibration::paper().with_dma()),
+            base(Scheme::Bcom)
+                .with_trace()
+                .with_metrics()
+                .with_telemetry(),
+            base(Scheme::Baseline)
+                .without_compute_cache()
+                .with_timeline(),
+            // 5-12 each differ from the base in one input.
+            base(Scheme::Baseline).seed(6),
+            base(Scheme::Baseline).windows(3),
+            base(Scheme::Beam),
+            base(Scheme::Baseline).world(WorldConfig {
+                sensor_error_rate: 0.1,
+                ..WorldConfig::default()
+            }),
+            base(Scheme::Baseline).fault(storm()),
+            Scenario::new(Scheme::Baseline, vec![layout(SensorId::S4, 40, 1)])
+                .windows(2)
+                .seed(5),
+            Scenario::new(Scheme::Baseline, vec![layout(SensorId::S2, 50, 1)])
+                .windows(2)
+                .seed(5),
+            Scenario::new(Scheme::Baseline, vec![layout(SensorId::S4, 50, 2)])
+                .windows(2)
+                .seed(5),
+            // 13: a second app changes the layout too.
+            Scenario::new(Scheme::Baseline, vec![Box::new(Probe), Box::new(Probe)])
+                .windows(2)
+                .seed(5),
+            // 14-15: equal fault scripts group; 16: another app with the
+            // base's layout joins the base.
+            base(Scheme::Batching).fault(storm()),
+            base(Scheme::Com).fault(storm()),
+            Scenario::new(Scheme::Batching, vec![layout(SensorId::S4, 50, 1)])
+                .windows(2)
+                .seed(5),
+        ];
+        let units = lockstep_units(&scenarios, 1);
+        let expected: Vec<Vec<usize>> = vec![
+            vec![0, 1, 2, 3, 4, 16],
+            vec![5],
+            vec![6],
+            vec![7],
+            vec![8],
+            vec![9, 14, 15],
+            vec![10],
+            vec![11],
+            vec![12],
+            vec![13],
+        ];
+        assert_eq!(units, expected);
+    }
+
+    #[test]
+    fn groups_are_capped_and_split_to_feed_every_worker() {
+        let same = |n: usize| -> Vec<Scenario> { (0..n).map(|_| base(Scheme::Batching)).collect() };
+        // The cap: 20 same-input scenarios make runs of 8, 8 and 4.
+        let units = lockstep_units(&same(20), 1);
+        let sizes: Vec<usize> = units.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [8, 8, 4]);
+        assert_eq!(units.concat(), (0..20).collect::<Vec<_>>());
+        // The split: at least `jobs` units once there are `jobs` scenarios,
+        // halving the largest (first) unit each time.
+        assert_eq!(lockstep_units(&same(3), 2), [vec![0], vec![1, 2]]);
+        assert_eq!(
+            lockstep_units(&same(6), 4),
+            [vec![0], vec![1, 2], vec![3], vec![4, 5]]
+        );
+        assert_eq!(lockstep_units(&same(20), 8).len(), 8);
+        // Fewer scenarios than jobs: nothing to gain from splitting.
+        assert_eq!(lockstep_units(&same(3), 4), [vec![0, 1, 2]]);
+        assert!(lockstep_units(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn lockstep_members_match_their_solo_runs() {
+        let fleet = || -> Vec<Scenario> {
+            vec![
+                base(Scheme::Baseline),
+                base(Scheme::Batching).with_trace(),
+                base(Scheme::Com).fault(storm()),
+                base(Scheme::Bcom).fault(storm()).with_telemetry(),
+                base(Scheme::Beam),
+            ]
+        };
+        let solo: Vec<RunResult> = fleet().into_iter().map(Scenario::run).collect();
+        for jobs in [1, 2, 4] {
+            assert_eq!(Fleet::new(jobs).run(fleet()), solo, "jobs {jobs}");
+        }
     }
 
     #[test]

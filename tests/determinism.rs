@@ -139,3 +139,78 @@ fn submission_order_is_preserved_under_load() {
         assert_eq!(r.seed, *seed, "slot for seed {seed} out of order");
     }
 }
+
+/// A fleet mixing every way lockstep members may differ — scheme and flow,
+/// calibration, DMA, observability — with inputs that must keep them
+/// apart: BEAM's merged sensors, unequal fault scripts, other worlds.
+fn mixed_fleet() -> Vec<Scenario> {
+    let seed = 42;
+    let mut fleet = Vec::new();
+    // Figure 10 cells: the single-app schemes share each app's inputs.
+    for app in [AppId::A2, AppId::A4, AppId::A8] {
+        for scheme in Scheme::SINGLE_APP {
+            fleet.push(scenario(scheme, &[app], seed));
+        }
+    }
+    // Figure 11 cells: BEAM merges shared sensors, so it stands apart
+    // from Baseline and BCOM on the same apps.
+    for combo in [[AppId::A2, AppId::A7], [AppId::A4, AppId::A5]] {
+        for scheme in Scheme::MULTI_APP {
+            fleet.push(scenario(scheme, &combo, seed));
+        }
+    }
+    // Same-seed calibration variants join the A2 cells above.
+    let slow_read = Calibration {
+        mcu_read_overhead: SimDuration::from_micros(40),
+        ..Calibration::paper()
+    };
+    for cal in [Calibration::paper().with_dma(), slow_read] {
+        fleet.push(scenario(Scheme::Batching, &[AppId::A2], seed).calibration(cal));
+    }
+    // Faulted members: two with equal scripts, one whose dropout stream
+    // is reseeded, and so reads differently.
+    let demo = iotse::core::scenario_spec::demo_scripts();
+    let mut reseeded = demo.clone();
+    reseeded[0] = reseeded[0].clone().seeded(99);
+    for (scheme, scripts) in [
+        (Scheme::Baseline, &demo),
+        (Scheme::Com, &demo),
+        (Scheme::Batching, &reseeded),
+    ] {
+        fleet.push(scenario(scheme, &[AppId::A2, AppId::A7], seed).faults(scripts.clone()));
+    }
+    // A flaky world: failed read attempts replay to the later members.
+    let flaky = WorldConfig {
+        sensor_error_rate: 0.2,
+        ..WorldConfig::default()
+    };
+    for scheme in [Scheme::Baseline, Scheme::Batching, Scheme::Com] {
+        fleet.push(scenario(scheme, &[AppId::A2], seed).world(flaky.clone()));
+    }
+    // Trace and telemetry on a single member of the A2+A7 group.
+    fleet.push(
+        scenario(Scheme::Com, &[AppId::A2, AppId::A7], seed)
+            .with_trace()
+            .with_metrics()
+            .with_telemetry(),
+    );
+    fleet
+}
+
+#[test]
+fn fleet_results_equal_solo_runs_at_every_jobs_level() {
+    // Lockstep groups share one world and one engine; each member's
+    // result must still be bitwise what it gets running alone.
+    let solo: Vec<RunResult> = mixed_fleet().into_iter().map(Scenario::run).collect();
+    for jobs in [1, 2, 4, 8] {
+        let fleet = run_fleet(mixed_fleet(), jobs);
+        assert_eq!(fleet.len(), solo.len());
+        for (i, (f, s)) in fleet.iter().zip(&solo).enumerate() {
+            assert_eq!(
+                f, s,
+                "fleet slot {i} ({} seed {}) differs from its solo run at --jobs {jobs}",
+                s.scheme, s.seed
+            );
+        }
+    }
+}
